@@ -33,13 +33,11 @@ from .lattice import (
     shell_sites,
 )
 from .potentials import (
-    PenaltyPotential,
     PerturbedPotential,
     RangeOnePerturbation,
     birkhoff_sum,
     certify_norm_gap,
     check_levelset_lipschitz,
-    eval_potential,
     lipschitz_norm_exact,
     lipschitz_seminorm_exact,
     sample_perturbation,
@@ -68,7 +66,6 @@ from .sft import (
     load_sft,
     local_implies_global,
     parse_sft,
-    penalty_at,
     render_sft,
     violations,
 )

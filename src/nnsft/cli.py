@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -34,11 +35,21 @@ from .sft import (
 
 
 def parse_ratio(text: str) -> float:
-    """Accept a decimal or a p/q rational (so 1/64 is exact)."""
+    """Accept a finite decimal or a p/q rational (so 1/64 is exact).
+
+    Raises ValueError, which argparse reports as a bad flag value.
+    """
     if "/" in text:
         p, q = text.split("/", 1)
-        return int(p) / int(q)
-    return float(text)
+        try:
+            value = int(p) / int(q)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"bad ratio {text!r}") from exc
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +169,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     sft = load_sft(args.spec)
     cfg = TrialConfig(
         sft=sft,
-        sft_name=args.spec,
         n=args.size,
         epsilon=args.epsilon,
         cap=args.cap,

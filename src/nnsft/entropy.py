@@ -17,7 +17,7 @@ recovered by subtracting one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import inf, log
 
 import numpy as np
 
@@ -96,6 +96,8 @@ def strip_entropy(
     Raises EmptySubshiftError when no column is admissible or no column
     can follow any other (lambda_max = 0, entropy -infinity).
     """
+    if not 0.0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
     transfer = StripTransfer.build(sft, m)
     if transfer.state_count == 0:
         raise EmptySubshiftError("empty subshift: no vertically admissible column")

@@ -16,7 +16,11 @@ certified norm gap of g (never the looser nominal value):
   S_i whose only forbidden pair pointed inward. Such sites are refilled
   but yield no improvement, so the bound taken over the full |S_i| is
   genuinely violated on a few percent of random trials; the harness
-  records that literal margin without asserting it;
+  records that literal margin without asserting it. The per-shell sums
+  are replayed from the repair's input and output alone: repair writes
+  each site of shell i once, while it repairs shell i, so the window
+  before shell i equals the output on shells 0..i-1 and the input
+  elsewhere, and no intermediate window has to be kept;
 * total improvement: summed over shells and with a dyadic tail
   allowance 2*(8N+8) for the influence of the first unrepaired shell,
   the window-averaged improvement is at least
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +69,6 @@ class TrialConfig:
     """Configuration for a batch of verification trials."""
 
     sft: NnSft
-    sft_name: str = "custom"
     n: int = 24
     epsilon: float = DEFAULT_EPSILON
     cap: float = DEFAULT_CAP
@@ -82,6 +85,8 @@ class TrialConfig:
             raise ValueError("box radius must be >= 1")
         if not 0.0 <= self.corrupt_rate <= 1.0:
             raise ValueError("corrupt rate must be in [0, 1]")
+        if self.support_size < 0:
+            raise ValueError("perturbation support size must be >= 0")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.jobs < 1:
@@ -111,6 +116,8 @@ def sample_admissible(sft: NnSft, radius: int, rng: np.random.Generator) -> Wind
     down neighbors; SSF guarantees at least one such symbol. The output
     is verified violation-free.
     """
+    if radius < 0:
+        raise ValueError("box radius must be >= 0")
     if not sft.ssf.ok:
         raise ValueError("sampling requires a single-site fillable SFT")
     q = sft.q
@@ -238,47 +245,55 @@ class ShellGapReport:
     ok: bool
 
 
-def _sum_diff_over_changes(
-    g: PerturbedPotential, prev: Window, cur: Window, region: Rect
-) -> float:
-    """S_region g(cur) - S_region g(prev), summing only sites whose 3x3
-    patch meets a changed site (all other terms cancel exactly)."""
-    rect = prev.rect
-    changed = np.argwhere(prev.array != cur.array)
-    affected: set[Site] = set()
-    for r, c in changed:
-        x, y = rect.x0 + int(c), rect.y1 - int(r)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                u = (x + dx, y + dy)
-                if region.contains(u):
-                    affected.add(u)
-    return sum(g.value(cur, u) - g.value(prev, u) for u in sorted(affected))
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """Sites within Chebyshev distance 1 of a True site."""
+    rows = mask.copy()
+    rows[1:] |= mask[:-1]
+    rows[:-1] |= mask[1:]
+    out = rows.copy()
+    out[:, 1:] |= rows[:, :-1]
+    out[:, :-1] |= rows[:, 1:]
+    return out
 
 
-def _pending_bad(w: Window, sft: NnSft, dec: ShellDecomposition) -> int:
-    """Sites of the decomposition still bad in w."""
-    mask, _ = bad_site_mask(w, sft)
-    rect = w.rect
-    return sum(
-        1 for (x, y) in dec.sites() if mask[rect.y1 - y, x - rect.x0]
-    )
+def _sites(rect: Rect, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of the True sites of a window-shaped mask, in sorted
+    (x, y) order."""
+    cols, rows_up = np.nonzero(mask.T[:, ::-1])
+    return rect.x0 + cols, rect.y0 + rows_up
 
 
 def check_shell_gaps(
     g: PerturbedPotential,
+    corrupted: Window,
+    repaired: Window,
     shells: list[ShellDecomposition],
-    intermediates: list[Window],
     region: Rect,
 ) -> ShellGapReport:
     """Require each shell's repair to improve the windowed sum by at
     least (1 - 32*gap)*pending_i - 112*gap, pending_i counting the
-    shell's sites still bad when its turn comes."""
-    if len(intermediates) != len(shells) + 1:
-        raise ValueError(
-            f"expected {len(shells) + 1} windows for {len(shells)} shells, "
-            f"got {len(intermediates)}"
-        )
+    shell's sites still bad when its turn comes.
+
+    shells is repair's decomposition of corrupted and repaired its
+    output; the windows before and after each shell are replayed from
+    the two (see the module docstring). The observed gain of shell i
+    sums g(after) - g(before) over the region's sites whose 3x3 patch
+    meets a site the shell changed (every other term cancels), site by
+    site in sorted (x, y) order.
+    """
+    rect = corrupted.rect
+    if repaired.rect != rect:
+        raise ValueError("mismatched domains")
+    if not rect.contains_rect(region.inflate(1)):
+        raise ValueError("insufficient margin")
+    ys = rect.y1 - np.arange(rect.height)
+    xs = rect.x0 + np.arange(rect.width)
+    cheb = np.maximum.outer(np.abs(ys), np.abs(xs))
+    inside = np.outer(
+        (region.y0 <= ys) & (ys <= region.y1), (region.x0 <= xs) & (xs <= region.x1)
+    )
+    changed = corrupted.array != repaired.array
+    bad_in, _ = bad_site_mask(corrupted, g.sft)
     gap = g.gap
     site_coeff = 1.0 - SHELL_SITE_COEFF * gap
     slack = SHELL_SLACK_COEFF * gap
@@ -286,9 +301,15 @@ def check_shell_gaps(
     min_margin = math.inf
     min_literal = math.inf
     ok = True
+    after = corrupted
     for i, dec in enumerate(shells):
-        observed = _sum_diff_over_changes(g, intermediates[i], intermediates[i + 1], region)
-        pending = _pending_bad(intermediates[i], g.sft, dec) if dec.total_bad else 0
+        before = after
+        after = Window(rect, np.where(cheb <= i, repaired.array, corrupted.array), _copy=False)
+        shell = cheb == i
+        sx, sy = _sites(rect, _dilate(shell & changed) & inside)
+        observed = sum((g.value(after, sx, sy) - g.value(before, sx, sy)).tolist())
+        px, py = _sites(rect, shell & bad_in)
+        pending = int(g.parts(before, px, py)[0].sum())
         row = ShellGapRow(
             i=i,
             size=dec.total_bad,
@@ -371,7 +392,6 @@ class TrialReport:
     total_check: TotalBoundReport
     repaired_clean: bool
     locality_ok: bool
-    per_shell_sizes: tuple[int, ...] = field(default=(), repr=False)
 
     @property
     def case1_status(self) -> str:
@@ -420,7 +440,7 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
     corrupted = corrupt(base, sft.q, cfg.corrupt_rate, rng)
     h = sample_perturbation(cfg.cap, cfg.support_size, sft.q, rng)
     g = PerturbedPotential.build(sft, h)
-    result = repair(corrupted, sft, cfg.n, rule=cfg.rule, rng=rng, keep_intermediates=True)
+    result = repair(corrupted, sft, cfg.n, rule=cfg.rule, rng=rng)
     region = cfg.region
 
     bad_total = result.total_bad
@@ -428,7 +448,7 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
         raise RuntimeError("shell decomposition lost bad sites")
     admissible_check = check_average_bounds(g, base, region)
     corrupted_check = check_average_bounds(g, corrupted, region)
-    shell_check = check_shell_gaps(g, result.shells, result.intermediates, region)
+    shell_check = check_shell_gaps(g, corrupted, result.window, result.shells, region)
     total_check = check_total_gap(g, corrupted, result.window, result.shells, region, cfg.n)
 
     repaired_clean = _region_bad_count(result.window, sft, region) == 0
@@ -448,7 +468,6 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
         total_check=total_check,
         repaired_clean=repaired_clean,
         locality_ok=locality_ok,
-        per_shell_sizes=tuple(dec.total_bad for dec in result.shells),
     )
 
 

@@ -189,17 +189,6 @@ class Window:
         r, c = self._index(u)
         return int(self.array[r, c])
 
-    def pattern9(self, u: Site) -> tuple[int, ...]:
-        """The 3x3 patch centered at u, row-major, top row first.
-
-        Raises ValueError("insufficient margin") if the patch leaves the
-        stored domain.
-        """
-        r, c = self._index(u)
-        if r < 1 or c < 1 or r + 1 >= self.rect.height or c + 1 >= self.rect.width:
-            raise ValueError("insufficient margin")
-        return tuple(int(v) for v in self.array[r - 1 : r + 2, c - 1 : c + 2].ravel())
-
     def with_patch(self, patch: SparsePatch) -> "Window":
         """A new window with the patch written over this one."""
         arr = self.array.copy()

@@ -3,7 +3,10 @@
 The penalty potential of a nearest-neighbor SFT is -1 at a site whose
 rightward or upward pair is forbidden and 0 otherwise, so it vanishes
 exactly on admissible configurations and its value at a site depends
-only on the 3x3 patch there.
+only on the 3x3 patch there. PerturbedPotential.parts is the one
+evaluator of g = penalty + h: it takes a window and arrays of sites and
+returns the bad-site indicator and h there; value, birkhoff_sum and the
+level-set check are built on it.
 
 Perturbations are range-1: a sparse table of coefficients indexed by
 3x3 patches (row-major, top row first), every coefficient bounded by a
@@ -32,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import Rect, Site, Window, metric_exact
-from .sft import NnSft, bad_site_mask
+from .sft import NnSft
 
 Pattern = tuple[int, ...]
 
@@ -43,29 +46,8 @@ PATCH_OFFSETS: tuple[Site, ...] = (
     (-1, -1), (0, -1), (1, -1),
 )
 _CENTER = 4  # index of (0, 0) in PATCH_OFFSETS
-_RIGHT = 5   # index of (1, 0)
-_UP = 1      # index of (0, 1)
 
 SEMINORM_ENUM_GUARD = 10_000
-
-
-@dataclass(frozen=True)
-class PenaltyPotential:
-    """-1 on bad sites, 0 elsewhere; fully determined by the forbidden sets."""
-
-    sft: NnSft
-
-    def value(self, w: Window, u: Site) -> int:
-        pat = w.pattern9(u)
-        return _penalty_of_pattern(pat, self.sft)
-
-
-def _penalty_of_pattern(pat: Pattern, sft: NnSft) -> int:
-    if (pat[_CENTER], pat[_RIGHT]) in sft.hforbid:
-        return -1
-    if (pat[_CENTER], pat[_UP]) in sft.vforbid:
-        return -1
-    return 0
 
 
 @dataclass(frozen=True)
@@ -87,9 +69,6 @@ class RangeOnePerturbation:
     @property
     def support_size(self) -> int:
         return len(self.coeffs)
-
-    def value(self, w: Window, u: Site) -> float:
-        return self.coeffs.get(w.pattern9(u), 0.0)
 
 
 def zero_perturbation(cap: float = 1.0) -> RangeOnePerturbation:
@@ -175,19 +154,15 @@ class PerturbedPotential:
     """Penalty potential plus a range-1 perturbation, with a certified
     upper bound on the Lipschitz norm of the difference."""
 
-    penalty: PenaltyPotential
+    sft: NnSft
     h: RangeOnePerturbation
     certified_norm_gap: float | None = None
 
     @classmethod
     def build(cls, sft: NnSft, h: RangeOnePerturbation) -> "PerturbedPotential":
-        g = cls(PenaltyPotential(sft), h)
+        g = cls(sft, h)
         certify_norm_gap(g)
         return g
-
-    @property
-    def sft(self) -> NnSft:
-        return self.penalty.sft
 
     @property
     def gap(self) -> float:
@@ -195,9 +170,38 @@ class PerturbedPotential:
             raise ValueError("potential has not been certified; call certify_norm_gap")
         return self.certified_norm_gap
 
-    def value(self, w: Window, u: Site) -> float:
-        pat = w.pattern9(u)
-        return _penalty_of_pattern(pat, self.sft) + self.h.coeffs.get(pat, 0.0)
+    def parts(self, w: Window, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """(bad, h) at the sites (xs, ys) of w, two arrays of their
+        broadcast shape: the bad-site indicator, from the forbidden-pair
+        tables, and the perturbation, looked up by 3x3 pattern code.
+
+        Every site's 3x3 patch must be stored.
+        """
+        rect, flat = w.rect, w.array.ravel()
+        r = rect.y1 - np.asarray(ys)
+        c = np.asarray(xs) - rect.x0
+        if r.size and c.size and (
+            r.min() < 1 or c.min() < 1 or r.max() > rect.height - 2 or c.max() > rect.width - 2
+        ):
+            raise ValueError("insufficient margin")
+        width = rect.width
+        at = r * width + c  # index of each site in the row-major array
+        center = flat[at]
+        bad = self.sft.h_table[center, flat[at + 1]] | self.sft.v_table[center, flat[at - width]]
+        codes, vals = self._code_lookup
+        if not codes.size:
+            return bad, np.zeros(bad.shape)
+        q = self.sft.q
+        code = np.zeros(bad.shape, dtype=np.int64)
+        for k, (dx, dy) in enumerate(PATCH_OFFSETS):
+            code += flat[at + dx - dy * width] * q**k
+        idx = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        return bad, np.where(codes[idx] == code, vals[idx], 0.0)
+
+    def value(self, w: Window, xs, ys) -> np.ndarray:
+        """g at the sites (xs, ys) of w: h minus the bad-site indicator."""
+        bad, h = self.parts(w, xs, ys)
+        return h - bad
 
     @cached_property
     def _code_lookup(self) -> tuple[np.ndarray, np.ndarray]:
@@ -221,11 +225,6 @@ def certify_norm_gap(g: PerturbedPotential) -> float:
     return gap
 
 
-def eval_potential(g: PerturbedPotential, w: Window, u: Site) -> float:
-    """g at site u; the 3x3 patch around u must be stored."""
-    return g.value(w, u)
-
-
 def _encode_pattern(pat: Pattern, q: int) -> int:
     if any(not (0 <= s < q) for s in pat):
         raise ValueError(f"pattern {pat!r} has symbols outside alphabet 0..{q - 1}")
@@ -247,32 +246,14 @@ def birkhoff_sum(g: PerturbedPotential, w: Window, region: Rect) -> float:
     """Sum of g over every site of the region.
 
     The region inflated by one must fit in the window domain, so every
-    summand has its full 3x3 patch stored.
+    summand has its full 3x3 patch stored. The sum is minus the bad
+    count plus the numpy sum of h in row-major order, top row first.
     """
-    if not w.rect.contains_rect(region.inflate(1)):
-        raise ValueError("insufficient margin")
-    sft = g.sft
-    r_top = w.rect.y1 - region.y1
-    r_bot = w.rect.y1 - region.y0
-    c_left = region.x0 - w.rect.x0
-    c_right = region.x1 - w.rect.x0
-    mask, _ = bad_site_mask(w, sft)
-    total = -float(mask[r_top : r_bot + 1, c_left : c_right + 1].sum())
+    ys, xs = np.mgrid[region.y1 : region.y0 - 1 : -1, region.x0 : region.x1 + 1]
+    bad, h = g.parts(w, xs.ravel(), ys.ravel())
+    total = -float(bad.sum())
     if g.h.support_size:
-        q = sft.q
-        sub = w.array[r_top - 1 : r_bot + 2, c_left - 1 : c_right + 2]
-        hgt, wid = region.height, region.width
-        code = np.zeros((hgt, wid), dtype=np.int64)
-        weight = 1
-        for k in range(9):
-            dr, dc = k // 3, k % 3  # row-major over the patch, top row first
-            code += sub[dr : dr + hgt, dc : dc + wid] * weight
-            weight *= q
-        codes, vals = g._code_lookup
-        flat = code.ravel()
-        idx = np.minimum(np.searchsorted(codes, flat), len(codes) - 1)
-        hit = codes[idx] == flat
-        total += float(np.where(hit, vals[idx], 0.0).sum())
+        total += float(h.sum())
     return total
 
 
@@ -335,16 +316,15 @@ def check_levelset_lipschitz(
     checked = 0
     skipped = 0
     worst = float("inf")
-    f = g.penalty
     for wx, wy in pairs:
-        if f.value(wx, (0, 0)) != level or f.value(wy, (0, 0)) != level:
+        if any(-int(g.parts(w, 0, 0)[0]) != level for w in (wx, wy)):
             raise ValueError("window pair is not on the required penalty level set")
         m = metric_exact(wx, wy)
         if m.is_agreement:
             skipped += 1
             continue
         d = float(m.value)
-        lhs = abs(g.value(wx, (0, 0)) - g.value(wy, (0, 0)))
+        lhs = abs(float(g.value(wx, 0, 0) - g.value(wy, 0, 0)))
         slack = gap * d - lhs
         worst = min(worst, slack)
         if slack < 0:
@@ -353,41 +333,3 @@ def check_levelset_lipschitz(
     if checked == 0:
         worst = 0.0
     return LevelSetCheckResult(ok, checked, skipped, worst)
-
-
-# ---------------------------------------------------------------------------
-# Perturbation file format
-
-
-def render_perturbation(h: RangeOnePerturbation) -> str:
-    lines = [f"cap {h.cap!r}"]
-    for pat in sorted(h.coeffs):
-        syms = " ".join(str(s) for s in pat)
-        lines.append(f"pattern {syms} {h.coeffs[pat]!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_perturbation(text: str) -> RangeOnePerturbation:
-    cap: float | None = None
-    coeffs: dict[Pattern, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "cap":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected: cap <float>")
-            cap = float(parts[1])
-        elif parts[0] == "pattern":
-            if cap is None:
-                raise ValueError(f"line {lineno}: cap line must come first")
-            if len(parts) != 11:
-                raise ValueError(f"line {lineno}: expected: pattern <9 symbols> <coefficient>")
-            pat = tuple(int(t) for t in parts[1:10])
-            coeffs[pat] = float(parts[10])
-        else:
-            raise ValueError(f"line {lineno}: unknown keyword {parts[0]!r}")
-    if cap is None:
-        raise ValueError("missing cap line")
-    return RangeOnePerturbation(coeffs, cap)

@@ -247,7 +247,9 @@ class RepairResult:
     window is the repaired window; shells[i] is the decomposition of
     shell i computed from the input window; intermediates, when
     captured, holds the input window followed by the window after each
-    shell (length len(shells) + 1).
+    shell (length len(shells) + 1). Only tests capture them: the window
+    after shell i is the output on shells 0..i and the input elsewhere,
+    so check_shell_gaps replays it from the input and the output.
     """
 
     window: Window

@@ -173,21 +173,6 @@ def bad_sites(w: Window, sft: NnSft) -> BadSites:
     return BadSites(sites, evaluable)
 
 
-def penalty_at(w: Window, u: Site, sft: NnSft) -> int:
-    """-1 if u is bad, 0 otherwise; u and both its dependencies must be stored."""
-    _check_symbols(w, sft)
-    x, y = u
-    for s in (u, (x + 1, y), (x, y + 1)):
-        if not w.rect.contains(s):
-            raise ValueError("insufficient margin")
-    a = w.get(u)
-    if (a, w.get((x + 1, y))) in sft.hforbid:
-        return -1
-    if (a, w.get((x, y + 1))) in sft.vforbid:
-        return -1
-    return 0
-
-
 def check_ssf(sft: NnSft) -> SsfResult:
     """Exhaustive single-site fillability check.
 

@@ -74,3 +74,40 @@ def patch_admissible_around(
         if (a, patched.get((x, y + 1))) in sft.vforbid:
             return False
     return True
+
+
+def potential_oracle(g, w: Window, x: int, y: int) -> float:
+    """g at one site from its 3x3 pattern: forbidden-pair set lookups
+    plus the coefficient table, as penalty + h."""
+    r, c = w.rect.y1 - y, x - w.rect.x0
+    pat = tuple(int(v) for v in w.array[r - 1 : r + 2, c - 1 : c + 2].ravel())
+    bad = (pat[4], pat[5]) in g.sft.hforbid or (pat[4], pat[1]) in g.sft.vforbid
+    return -int(bad) + g.h.coeffs.get(pat, 0.0)
+
+
+def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):
+    """(size, pending, observed) per shell from the window before and
+    after each shell's repair, site by site.
+
+    observed sums g(after) - g(before) with builtin sum, in sorted (x, y)
+    order, over the region sites whose 3x3 patch meets a changed site;
+    pending counts the shell's bad sites still bad before its repair.
+    """
+    rows = []
+    for dec, prev, cur in zip(shells, intermediates, intermediates[1:]):
+        rect = prev.rect
+        affected = set()
+        for r, c in np.argwhere(prev.array != cur.array):
+            x, y = rect.x0 + int(c), rect.y1 - int(r)
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    if region.contains((x + dx, y + dy)):
+                        affected.add((x + dx, y + dy))
+        observed = sum(
+            potential_oracle(g, cur, x, y) - potential_oracle(g, prev, x, y)
+            for x, y in sorted(affected)
+        )
+        still_bad = pair_scan_bad_sites(prev, g.sft)
+        pending = sum(1 for u in dec.sites() if u in still_bad)
+        rows.append((dec.total_bad, pending, observed))
+    return rows

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -23,6 +24,9 @@ def test_parse_ratio():
     assert parse_ratio("0.25") == 0.25
     with pytest.raises(ValueError):
         parse_ratio("a/b")
+    for bad in ("1/0", "0/0", "nan", "inf", "-inf", "1e999", "1" + "0" * 400 + "/1"):
+        with pytest.raises(ValueError):
+            parse_ratio(bad)
 
 
 def test_check_hardsquare():
@@ -58,6 +62,19 @@ def test_input_errors_exit_2(tmp_path):
     assert "line 2" in res.stderr
     assert run_cli("check", "--nonsense").returncode == 2
     assert run_cli("frobnicate").returncode == 2
+    # bad numeric flags: one error line, never a traceback
+    for args in (
+        ("verify", "--spec", "hardsquare", "--epsilon", "1/0"),
+        ("verify", "--spec", "hardsquare", "--cap", "inf", "--epsilon", "inf"),
+        ("verify", "--spec", "hardsquare", "--epsilon", "nan"),
+        ("verify", "--spec", "hardsquare", "--support", "-1"),
+        ("sample", "--spec", "hardsquare", "--size", "-1"),
+        ("entropy", "--spec", "hardsquare", "--tol", "nan"),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert "Traceback" not in res.stderr, args
+        assert "error:" in res.stderr.splitlines()[-1], args
 
 
 def test_sample_and_repair_round_trip(tmp_path):
@@ -119,6 +136,22 @@ def test_verify_csv_shape(tmp_path):
     assert len(rows) == 5  # header + 4 trials
     assert lines[-1].startswith("# summary:")
     assert csv_path.read_text() == res.stdout
+
+
+# sha256 of the stdout of verify; the CSV bytes are the output contract
+GOLDEN_VERIFY = {
+    ("--spec", "checkerboard:5", "--size", "24", "--trials", "4", "--seed", "3"):
+        "067a81e7af5e5b71c8f24718c1013447c00f0d8f5c0c9b624f95a61a6d6b65cc",
+    ("--spec", "hardsquare", "--size", "16", "--trials", "6", "--seed", "2", "--support", "40"):
+        "5b91089a32cace6d0dcb26f61844099c69aa0fa0bd4a1d3d4dbbe17d0a065050",
+}
+
+
+def test_verify_csv_golden(capsys):
+    for args, digest in GOLDEN_VERIFY.items():
+        assert main(["verify", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_verify_rational_epsilon_and_hypothesis_guard():

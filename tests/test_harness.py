@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnsft.harness import (
     TrialConfig,
@@ -21,7 +23,7 @@ from nnsft.potentials import PerturbedPotential, birkhoff_sum, sample_perturbati
 from nnsft.repair import repair
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square, violations
 
-from _util import pair_scan_bad_sites
+from _util import pair_scan_bad_sites, random_ssf_sfts, reference_shell_rows
 
 HS = hard_square()
 
@@ -37,6 +39,8 @@ def test_trial_config_validation():
     TrialConfig(sft=HS, cap=1 / 64, allow_out_of_hypothesis=True)
     with pytest.raises(ValueError, match="corrupt"):
         TrialConfig(sft=HS, corrupt_rate=1.5)
+    with pytest.raises(ValueError, match="support"):
+        TrialConfig(sft=HS, support_size=-1)
 
 
 def test_sample_admissible():
@@ -49,6 +53,8 @@ def test_sample_admissible():
     assert sample_admissible(HS, 6, rng1) == sample_admissible(HS, 6, rng2)
     with pytest.raises(ValueError, match="fillable"):
         sample_admissible(checkerboard(3), 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="radius"):
+        sample_admissible(HS, -1, np.random.default_rng(0))
 
 
 def test_sample_admissible_full_shift():
@@ -103,7 +109,7 @@ def test_shell_gaps_zero_perturbation_integer_identity():
     region = Rect.centered(10)
     w = corrupt(sample_admissible(HS, 12, rng), 2, 0.4, rng)
     res = repair(w, HS, 10, keep_intermediates=True)
-    rep = check_shell_gaps(g, res.shells, res.intermediates, region)
+    rep = check_shell_gaps(g, w, res.window, res.shells, region)
     assert rep.ok
     for row, prev, cur in zip(rep.rows, res.intermediates, res.intermediates[1:]):
         before = sum(1 for s in bad_sites(prev, HS).sites if region.contains(s))
@@ -115,8 +121,8 @@ def test_shell_gaps_zero_perturbation_integer_identity():
 def test_shell_gaps_empty_shells():
     g = PerturbedPotential.build(HS, sample_perturbation(1 / 384, 8, 2, seed=1))
     w = Window.filled(Rect.centered(6), 0)
-    res = repair(w, HS, 4, keep_intermediates=True)
-    rep = check_shell_gaps(g, res.shells, res.intermediates, Rect.centered(4))
+    res = repair(w, HS, 4)
+    rep = check_shell_gaps(g, w, res.window, res.shells, Rect.centered(4))
     assert rep.ok
     for row in rep.rows:
         assert row.observed == 0.0
@@ -124,18 +130,42 @@ def test_shell_gaps_empty_shells():
         assert row.margin == pytest.approx(112.0 * g.gap)
 
 
-def test_shell_gaps_length_mismatch():
+def test_shell_gaps_mismatched_domains():
     g = _zero_g()
     w = Window.filled(Rect.centered(6), 0)
-    res = repair(w, HS, 4, keep_intermediates=True)
-    with pytest.raises(ValueError, match="windows"):
-        check_shell_gaps(g, res.shells, res.intermediates[:-1], Rect.centered(4))
+    res = repair(w, HS, 4)
+    with pytest.raises(ValueError, match="domains"):
+        check_shell_gaps(g, w, res.window.translate((1, 0)), res.shells, Rect.centered(4))
+    with pytest.raises(ValueError, match="insufficient margin"):
+        check_shell_gaps(g, w, res.window, res.shells, Rect.centered(6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    margin=st.integers(0, 2),
+    rate=st.floats(0.0, 1.0),
+    support=st.integers(0, 60),
+    rule=st.sampled_from(["smallest", "random"]),
+)
+def test_shell_gaps_replay_matches_reference(seed, n, margin, rate, support, rule):
+    # the replay from repair's input and output against the intermediate windows
+    rng = np.random.default_rng(seed)
+    sft = random_ssf_sfts(1, seed)[0]
+    w = corrupt(sample_admissible(sft, n + 2, rng), sft.q, rate, rng)
+    g = PerturbedPotential.build(sft, sample_perturbation(0.01, support, sft.q, rng))
+    res = repair(w, sft, n, rule=rule, rng=rng, keep_intermediates=True)
+    region = Rect.centered(n + 1 - margin)
+    rep = check_shell_gaps(g, w, res.window, res.shells, region)
+    expected = reference_shell_rows(g, res.shells, res.intermediates, region)
+    assert [(row.size, row.pending, row.observed) for row in rep.rows] == expected
 
 
 def test_total_gap_admissible():
     g = _zero_g()
     w = Window.filled(Rect.centered(6), 0)
-    res = repair(w, HS, 4, keep_intermediates=True)
+    res = repair(w, HS, 4)
     rep = check_total_gap(g, w, res.window, res.shells, Rect.centered(4), 4)
     assert rep.total_gap == 0.0
     assert rep.raw_ok and rep.normalized_ok and rep.vacuous  # required < 0 at tiny N
@@ -152,11 +182,11 @@ def test_total_bound_vacuity_regimes():
 
 
 def test_run_trial_fields_and_pass():
-    cfg = TrialConfig(sft=HS, sft_name="hardsquare", n=12, seed=3, trials=1)
+    cfg = TrialConfig(sft=HS, n=12, seed=3, trials=1)
     r = run_trial(cfg, 0)
     assert r.all_pass
     assert r.seed == trial_seed(3, 0)
-    assert r.bad_total == sum(r.per_shell_sizes)
+    assert r.bad_total == sum(row.size for row in r.shell_check.rows)
     assert 0 <= r.bad_fraction < 0.5
     assert r.certified_gap < 1 / 64
     assert r.repaired_clean and r.locality_ok
@@ -173,11 +203,11 @@ def test_run_trial_zero_support_exact_identity():
 
 
 def test_run_experiment_determinism_and_jobs():
-    cfg = TrialConfig(sft=HS, sft_name="hardsquare", n=10, seed=21, trials=6)
+    cfg = TrialConfig(sft=HS, n=10, seed=21, trials=6)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert a.csv_text == b.csv_text
-    cfg_jobs = TrialConfig(sft=HS, sft_name="hardsquare", n=10, seed=21, trials=6, jobs=3)
+    cfg_jobs = TrialConfig(sft=HS, n=10, seed=21, trials=6, jobs=3)
     c = run_experiment(cfg_jobs)
     assert c.csv_text == a.csv_text
     assert a.all_pass
@@ -185,7 +215,7 @@ def test_run_experiment_determinism_and_jobs():
 
 def test_csv_flags_recomputable_from_rows():
     # pass flags must be pure functions of the recorded numbers
-    cfg = TrialConfig(sft=checkerboard(5), sft_name="cb5", n=12, seed=9, trials=5)
+    cfg = TrialConfig(sft=checkerboard(5), n=12, seed=9, trials=5)
     result = run_experiment(cfg)
     lines = [ln for ln in result.csv_text.splitlines() if ln and not ln.startswith("#")]
     header = lines[0].split(",")

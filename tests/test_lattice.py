@@ -96,11 +96,8 @@ def test_window_accessors():
     assert w.get((-1, 1)) == 1
     assert w.get((1, -1)) == 9
     assert w.get((0, 0)) == 5
-    assert w.pattern9((0, 0)) == (1, 2, 3, 4, 5, 6, 7, 8, 9)
     with pytest.raises(KeyError):
         w.get((2, 0))
-    with pytest.raises(ValueError, match="insufficient margin"):
-        w.pattern9((1, 0))
 
 
 def test_window_immutable_and_patch():

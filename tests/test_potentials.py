@@ -7,25 +7,21 @@ import pytest
 from nnsft.lattice import Rect, Window
 from nnsft.potentials import (
     PATCH_OFFSETS,
-    PenaltyPotential,
     PerturbedPotential,
     RangeOnePerturbation,
     analytic_norm_bound,
     birkhoff_sum,
     certify_norm_gap,
     check_levelset_lipschitz,
-    eval_potential,
     lipschitz_norm_exact,
     lipschitz_seminorm_exact,
-    parse_perturbation,
-    render_perturbation,
     sample_perturbation,
     sup_norm_exact,
     zero_perturbation,
 )
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square
 
-from _util import random_window
+from _util import potential_oracle, random_ssf_sfts, random_window
 
 HS = hard_square()
 
@@ -40,13 +36,25 @@ def test_patch_offsets_order():
     assert PATCH_OFFSETS[8] == (1, -1)
 
 
+def _level(g, w):
+    """Penalty value at the origin: minus the bad-site indicator."""
+    return -int(g.parts(w, 0, 0)[0])
+
+
 def test_eval_potential_zero_perturbation():
     g = _g()
     w = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1, (1, 0): 1})
-    assert eval_potential(g, w, (0, 0)) == -1.0
-    assert eval_potential(g, w, (-1, 0)) == 0.0
+    assert g.value(w, 0, 0) == -1.0
+    assert g.value(w, -1, 0) == 0.0
+    # a lone 1 has no forbidden pair
+    lone = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1})
+    assert g.value(lone, 0, 0) == 0.0
+    assert g.value(w, [-1, 0, 1], [0, 0, 0]).tolist() == [0.0, -1.0, 0.0]
+    assert g.value(w, np.zeros(0, dtype=int), np.zeros(0, dtype=int)).shape == (0,)
     with pytest.raises(ValueError, match="insufficient margin"):
-        eval_potential(g, w, (2, 0))
+        g.value(w, 2, 0)
+    with pytest.raises(ValueError, match="insufficient margin"):
+        g.value(w, [0, 0], [0, -2])
 
 
 def test_eval_potential_with_coefficient():
@@ -54,19 +62,33 @@ def test_eval_potential_with_coefficient():
     h = RangeOnePerturbation({pat: 0.001}, cap=0.002)
     g = _g(h=h)
     w = Window.filled(Rect.centered(3), 0)
-    for u in Rect.centered(2).sites():
-        assert eval_potential(g, w, u) == pytest.approx(0.001)
+    for x, y in Rect.centered(2).sites():
+        assert g.value(w, x, y) == pytest.approx(0.001)
+
+
+def test_value_matches_pattern_oracle():
+    # the vectorized evaluator against per-site 3x3 pattern lookups
+    rng = np.random.default_rng(61)
+    for sft in random_ssf_sfts(12, seed=62):
+        h = sample_perturbation(0.01, int(rng.integers(0, 40)), sft.q, rng)
+        g = PerturbedPotential.build(sft, h)
+        w = random_window(Rect(-3, -2, 9, 7), sft.q, rng)
+        sites = list(Rect(-2, -1, 7, 5).sites())
+        xs, ys = np.array(sites).T
+        expected = [potential_oracle(g, w, x, y) for x, y in sites]
+        assert g.value(w, xs, ys).tolist() == expected
 
 
 def test_penalty_level_constancy():
-    # value depends only on the 3x3 patch at the origin
+    # g at the origin depends only on the 3x3 patch there
     rng = np.random.default_rng(50)
-    f = PenaltyPotential(HS)
+    g = _g(h=sample_perturbation(0.01, 200, 2, rng))
     for _ in range(50):
         w1 = random_window(Rect.centered(3), 2, rng)
         patch = {u: w1.get(u) for u in Rect.centered(1).sites()}
         w2 = random_window(Rect.centered(3), 2, rng).with_patch(patch)
-        assert f.value(w1, (0, 0)) == f.value(w2, (0, 0))
+        assert _level(g, w1) == _level(g, w2)
+        assert g.value(w1, 0, 0) == g.value(w2, 0, 0)
 
 
 def test_seminorm_trivial_cases():
@@ -175,7 +197,7 @@ def test_birkhoff_matches_sitewise_eval():
             g = PerturbedPotential.build(sft, h)
             w = random_window(Rect.centered(5), sft.q, rng)
             region = Rect.centered(3)
-            direct = sum(eval_potential(g, w, u) for u in region.sites())
+            direct = sum(float(g.value(w, x, y)) for x, y in region.sites())
             assert birkhoff_sum(g, w, region) == pytest.approx(direct, abs=1e-12)
 
 
@@ -229,7 +251,7 @@ def test_levelset_lipschitz_basics():
     while len(pairs) < 50:
         a = random_window(Rect.centered(2), 2, rng)
         b = random_window(Rect.centered(2), 2, rng)
-        if gz.penalty.value(a, (0, 0)) == 0 and gz.penalty.value(b, (0, 0)) == 0:
+        if _level(gz, a) == 0 and _level(gz, b) == 0:
             pairs.append((a, b))
     res = check_levelset_lipschitz(gz, pairs, 0)
     assert res.ok  # zero perturbation: both sides vanish
@@ -247,22 +269,11 @@ def test_levelset_lipschitz_random_pairs():
             while len(pairs) < 200:
                 a = random_window(Rect.centered(3), 2, rng)
                 b = random_window(Rect.centered(3), 2, rng)
-                if (
-                    g.penalty.value(a, (0, 0)) == level
-                    and g.penalty.value(b, (0, 0)) == level
-                ):
+                if _level(g, a) == level and _level(g, b) == level:
                     pairs.append((a, b))
             res = check_levelset_lipschitz(g, pairs, level)
             assert res.ok
             assert res.worst_slack >= 0.0
-
-
-def test_perturbation_file_round_trip():
-    for seed in range(5):
-        h = sample_perturbation(0.004, 7, 3, seed)
-        assert parse_perturbation(render_perturbation(h)) == h
-    with pytest.raises(ValueError, match="cap"):
-        parse_perturbation("pattern 0 0 0 0 0 0 0 0 0 0.1\n")
 
 
 def test_lipschitz_norm_object():

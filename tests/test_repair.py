@@ -229,8 +229,15 @@ def test_repair_invariants_seeded():
                 allowed |= dec.sites()
             assert changed_sites(w, res.window) <= allowed
             # monotone cleanliness: after shell i nothing is bad inside box i
+            # and, as check_shell_gaps replays it, the window is the output
+            # on shells 0..i and the input elsewhere
+            ys = w.rect.y1 - np.arange(w.rect.height)
+            xs = w.rect.x0 + np.arange(w.rect.width)
+            cheb = np.maximum.outer(np.abs(ys), np.abs(xs))
+            assert len(res.intermediates) == n + 2 and res.intermediates[0] == w
             for i, inter in enumerate(res.intermediates[1:]):
                 assert not _box_violations(inter, sft, i)
+                assert np.array_equal(inter.array, np.where(cheb <= i, res.window.array, w.array))
             # idempotence
             again = repair(res.window, sft, n)
             assert again.window == res.window

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nnsft.lattice import Rect, Window
+from nnsft.potentials import PerturbedPotential, zero_perturbation
 from nnsft.sft import (
     NnSft,
     SftParseError,
@@ -18,7 +19,6 @@ from nnsft.sft import (
     load_sft,
     local_implies_global,
     parse_sft,
-    penalty_at,
     render_sft,
     violations,
 )
@@ -80,25 +80,16 @@ def test_bad_sites_matches_pair_scan_oracle():
             assert bad_sites(w, sft).sites == pair_scan_bad_sites(w, sft)
 
 
-def test_penalty_at():
-    hs = hard_square()
-    w = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1, (1, 0): 1})
-    assert penalty_at(w, (0, 0), hs) == -1
-    assert penalty_at(Window.filled(Rect.centered(2), 0), (0, 0), hs) == 0
-    lone = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1})
-    assert penalty_at(lone, (0, 0), hs) == 0
-    with pytest.raises(ValueError, match="insufficient margin"):
-        penalty_at(w, (2, 0), hs)
-
-
 def test_penalty_matches_bad_sites():
     rng = np.random.default_rng(41)
     hs = hard_square()
+    g = PerturbedPotential.build(hs, zero_perturbation())
+    inner = list(Rect.centered(2).sites())
+    xs, ys = np.array(inner).T
     for _ in range(20):
         w = random_window(Rect.centered(3), 2, rng)
         bs = bad_sites(w, hs)
-        for u in bs.evaluable.sites():
-            assert penalty_at(w, u, hs) == (-1 if u in bs.sites else 0)
+        assert g.value(w, xs, ys).tolist() == [-1.0 if u in bs.sites else 0.0 for u in inner]
 
 
 def test_check_ssf_builtins():
