@@ -80,6 +80,18 @@ def test_bad_sites_matches_pair_scan_oracle():
             assert bad_sites(w, sft).sites == pair_scan_bad_sites(w, sft)
 
 
+def test_penalty_at():
+    # the penalty is the zero-perturbation potential: -1 at a bad site, 0 elsewhere
+    g = PerturbedPotential.build(hard_square(), zero_perturbation())
+    w = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1, (1, 0): 1})
+    assert g.value(w, 0, 0) == -1.0
+    assert g.value(Window.filled(Rect.centered(2), 0), 0, 0) == 0.0
+    lone = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1})
+    assert g.value(lone, 0, 0) == 0.0
+    with pytest.raises(ValueError, match="insufficient margin"):
+        g.value(w, 2, 0)
+
+
 def test_penalty_matches_bad_sites():
     rng = np.random.default_rng(41)
     hs = hard_square()
