@@ -38,6 +38,7 @@ identical under any scheduling, serial or parallel.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,13 +47,15 @@ import numpy as np
 from .lattice import Rect, Site, Window
 from .potentials import PerturbedPotential, birkhoff_sum, sample_perturbation
 from .repair import ShellDecomposition, repair
-from .sft import NnSft, bad_site_mask, violations
+from .sft import SOUTH, WEST, NnSft, bad_site_mask, violations
 
 DEFAULT_EPSILON = 1.0 / 64.0
 DEFAULT_CAP = 1.0 / 384.0
 
 SHELL_SLACK_COEFF = 112.0  # per-shell allowance, in units of the norm gap
 SHELL_SITE_COEFF = 32.0    # per-bad-site degradation coefficient, likewise
+
+WINDOW_SITE_GUARD = 2**22  # largest sampled window, in sites (radius 1023)
 
 
 def tail_slack(n: int) -> float:
@@ -111,43 +114,57 @@ class TrialConfig:
 def sample_admissible(sft: NnSft, radius: int, rng: np.random.Generator) -> Window:
     """A locally admissible window on the box of the given radius.
 
-    Deterministic raster sweep from the bottom row up, each site drawing
-    uniformly among symbols compatible with its already-placed left and
-    down neighbors; SSF guarantees at least one such symbol. The output
-    is verified violation-free.
+    Each site draws uniformly among the symbols compatible with its left
+    and down neighbors (a missing neighbor allows every symbol), the
+    AND of two fill-table masks; SSF guarantees the mask is nonempty.
+    One uniform draw per site, indexed in raster order from the bottom
+    row up, picks the compatible symbol of rank int(draw * count),
+    counting from 0 in increasing order. A site depends only on its left
+    and down neighbors, so the sites are placed one anti-diagonal at a
+    time, each diagonal in one vectorized step that reads the draws at
+    the sites' raster positions: the window is the one a raster sweep
+    with the same draws would produce. The output is verified
+    violation-free.
+
+    Windows of more than WINDOW_SITE_GUARD sites are refused before
+    anything is allocated.
     """
     if radius < 0:
         raise ValueError("box radius must be >= 0")
+    side = 2 * radius + 1
+    if side * side > WINDOW_SITE_GUARD:
+        raise ValueError(
+            f"a window of radius {radius} has {side * side} sites, over the "
+            f"sampling guard ({WINDOW_SITE_GUARD})"
+        )
     if not sft.ssf.ok:
         raise ValueError("sampling requires a single-site fillable SFT")
     q = sft.q
-    h, v = sft.h_table, sft.v_table
-    # choice table indexed by (left, down), q meaning "no neighbor"
-    table: list[list[tuple[int, ...]]] = []
-    for left in range(q + 1):
-        row = []
-        for down in range(q + 1):
-            opts = tuple(
-                a
-                for a in range(q)
-                if not (left < q and h[left, a]) and not (down < q and v[down, a])
-            )
-            if not opts:
-                raise RuntimeError("SSF contract violated: unfillable (left, down) pair")
-            row.append(opts)
-        table.append(row)
-    side = 2 * radius + 1
-    arr = np.empty((side, side), dtype=np.int64)
+    west, south = sft.fill_table[WEST], sft.fill_table[SOUTH]
+    shifts = np.arange(q, dtype=np.uint64)[:, None]
+    one = np.uint64(1)
     draws = rng.random(side * side)
-    k = 0
-    for r in range(side - 1, -1, -1):  # bottom row of the array is the last
-        for c in range(side):
-            left = int(arr[r, c - 1]) if c > 0 else q
-            down = int(arr[r + 1, c]) if r < side - 1 else q
-            opts = table[left][down]
-            arr[r, c] = opts[int(draws[k] * len(opts))]
-            k += 1
-    w = Window(Rect.centered(radius), arr, _copy=False)
+    # bottom row first, as the draws; row 0 and column 0 hold q, "no neighbor"
+    padded = np.full((side + 1, side + 1), q, dtype=np.int64)
+    flat = padded.ravel()
+    step = max(side - 1, 1)  # a slice step; radius 0 has a single site
+    for d in range(2 * side - 1):
+        # sites (b, d - b) for b in lo..hi, b counting rows from the bottom;
+        # consecutive ones lie side apart in flat and side - 1 apart in draws
+        lo, hi = max(0, d - side + 1), min(d, side - 1)
+        n = hi - lo + 1
+        start = (lo + 1) * (side + 1) + d - lo + 1
+        stop = start + n * side
+        left = flat[start - 1 : stop - 1 : side]
+        down = flat[start - side - 1 : stop - side - 1 : side]
+        # rank[a, j]: symbols <= a compatible at site j; rank[-1] counts them all
+        rank = ((west[left] & south[down]) >> shifts & one).cumsum(0)
+        k = lo * side + d - lo
+        pick = draws[k : k + (n - 1) * step + 1 : step] * rank[-1]
+        # an integer rank is <= pick exactly when it is <= int(pick)
+        flat[start:stop:side] = (rank <= pick).sum(0)
+    # a contiguous copy: later passes over a strided view cost memory
+    w = Window(Rect.centered(radius), padded[side:0:-1, 1:])
     if violations(w, sft):
         raise RuntimeError("sampler produced an inadmissible window")
     return w
@@ -525,10 +542,16 @@ def render_csv(reports: list[TrialReport]) -> str:
 
 def run_experiment(cfg: TrialConfig) -> ExperimentResult:
     """Run all configured trials; reports come back in trial order
-    regardless of scheduling."""
+    regardless of scheduling.
+
+    At most min(jobs, trials, cores) worker threads are started; more
+    would only wait for a core, and the reports do not depend on how
+    many run.
+    """
     indices = range(cfg.trials)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(lambda i: run_trial(cfg, i), indices))
     else:
         reports = [run_trial(cfg, i) for i in indices]

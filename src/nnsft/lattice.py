@@ -270,11 +270,15 @@ def metric_exact(w: Window, v: Window) -> MetricResult:
 
 
 def render_window(w: Window) -> str:
-    """Line-oriented text form: header then one row per line, top row first."""
+    """Line-oriented text form: header then one row per line, top row first.
+
+    Rows are converted one at a time, so no Python copy of the whole
+    window is ever held.
+    """
     r = w.rect
     lines = [f"window {r.x0} {r.y0} {r.width} {r.height}"]
     for row in w.array:
-        lines.append(" ".join(str(int(a)) for a in row))
+        lines.append(" ".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -300,7 +304,7 @@ def parse_window(text: str) -> Window:
         if len(vals) != width:
             raise ValueError(f"row {i + 1}: expected {width} symbols, found {len(vals)}")
         try:
-            arr[i] = [int(t) for t in vals]
+            arr[i] = list(map(int, vals))
         except ValueError as exc:
             raise ValueError(f"row {i + 1}: symbols must be integers") from exc
     if arr.min() < 0:

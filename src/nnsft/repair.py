@@ -3,16 +3,19 @@
 Bad sites of the input window are grouped by Chebyshev shell. Within
 shell i they split into four sides: top (y = i), bottom (y = -i), right
 (x = i, |y| < i) and left (x = -i, |y| < i); the four corner sites
-belong to the top or bottom side. Each side decomposes into maximal
-contiguous runs of bad sites.
+belong to the top or bottom side. Each side is a slice of the input's
+bad-site mask and decomposes into maximal contiguous runs of bad sites.
 
 A run is rewritten by a sweep from its alpha end to its beta end
 (left to right for horizontal runs, bottom to top for vertical ones).
-At each site the sweep picks a symbol compatible with all four current
-neighbors; single-site fillability guarantees one exists. The site just
-swept is a neighbor of the next, so every adjacent pair touching the
-run is validated by the later of its two endpoints and the patched
-window has no violation involving any run site.
+At each site the sweep ANDs the fill-table masks (NnSft.fill_table) of
+its four current neighbors, giving the symbols that fit all four, and
+writes the lowest of them (rule "smallest") or one drawn uniformly
+among them (rule "random"); single-site fillability guarantees the AND
+is nonzero. The site just swept is a neighbor of the next, so every
+adjacent pair touching the run is validated by the later of its two
+endpoints and the patched window has no violation involving any run
+site.
 
 Shells are processed outward, sides in top, bottom, right, left order,
 runs in their side order, each fill seeing the partially repaired
@@ -41,7 +44,7 @@ def _require_ssf(sft: NnSft) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Run:
     """A maximal contiguous segment of bad sites on one side of a shell.
 
@@ -109,40 +112,33 @@ class ShellDecomposition:
         return all(not self.runs.get(side) for side in SIDES)
 
 
-def _runs_from_coords(side: str, i: int, coords: list[int]) -> tuple[Run, ...]:
-    """Group sorted coordinates into maximal consecutive intervals."""
-    runs: list[Run] = []
-    k = 0
-    while k < len(coords):
-        j = k
-        while j + 1 < len(coords) and coords[j + 1] == coords[j] + 1:
-            j += 1
-        runs.append(Run(side, i, coords[k], coords[j]))
-        k = j + 1
-    return tuple(runs)
+def _runs(side: str, i: int, line: np.ndarray, first: int) -> tuple[Run, ...]:
+    """Maximal runs of True in a side's slice of the bad-site mask;
+    line[k] is the site at coordinate first + k."""
+    coords = line.nonzero()[0]
+    if not coords.size:
+        return ()
+    cut = np.flatnonzero(np.diff(coords) != 1).tolist()
+    c = (coords + first).tolist()
+    alphas = [c[0]] + [c[k + 1] for k in cut]
+    betas = [c[k] for k in cut] + [c[-1]]
+    return tuple(Run(side, i, a, b) for a, b in zip(alphas, betas))
 
 
 def _decompose_from_mask(rect: Rect, mask: np.ndarray, i: int) -> ShellDecomposition:
-    def bad(x: int, y: int) -> bool:
-        return bool(mask[rect.y1 - y, x - rect.x0])
-
+    # array row of y is rect.y1 - y, column of x is x - rect.x0
+    r0, c0 = rect.y1, -rect.x0
     if i == 0:
-        runs = {"top": (Run("top", 0, 0, 0),)} if bad(0, 0) else {}
+        runs = {"top": (Run("top", 0, 0, 0),)} if mask[r0, c0] else {}
         return ShellDecomposition(0, runs)
-    runs: dict[str, tuple[Run, ...]] = {}
-    top = [x for x in range(-i, i + 1) if bad(x, i)]
-    if top:
-        runs["top"] = _runs_from_coords("top", i, top)
-    bottom = [x for x in range(-i, i + 1) if bad(x, -i)]
-    if bottom:
-        runs["bottom"] = _runs_from_coords("bottom", i, bottom)
-    right = [y for y in range(-i + 1, i) if bad(i, y)]
-    if right:
-        runs["right"] = _runs_from_coords("right", i, right)
-    left = [y for y in range(-i + 1, i) if bad(-i, y)]
-    if left:
-        runs["left"] = _runs_from_coords("left", i, left)
-    return ShellDecomposition(i, runs)
+    sides = {
+        "top": _runs("top", i, mask[r0 - i, c0 - i : c0 + i + 1], -i),
+        "bottom": _runs("bottom", i, mask[r0 + i, c0 - i : c0 + i + 1], -i),
+        # rows run downward, so y = -i + 1 .. i - 1 reads the column reversed
+        "right": _runs("right", i, mask[r0 + i - 1 : r0 - i : -1, c0 + i], -i + 1),
+        "left": _runs("left", i, mask[r0 + i - 1 : r0 - i : -1, c0 - i], -i + 1),
+    }
+    return ShellDecomposition(i, {side: runs for side, runs in sides.items() if runs})
 
 
 def decompose_shell(w: Window, sft: NnSft, i: int) -> ShellDecomposition:
@@ -157,48 +153,49 @@ def decompose_shell(w: Window, sft: NnSft, i: int) -> ShellDecomposition:
     return _decompose_from_mask(w.rect, mask, i)
 
 
-def _fill_run(
-    arr: np.ndarray,
-    rect: Rect,
-    sft: NnSft,
-    sites: list[Site],
-    rule: str,
-    rng: np.random.Generator | None,
-) -> SparsePatch:
-    """Sweep the sites in order, writing a compatible symbol at each.
-
-    Mutates arr in place and returns the patch. Callers guarantee every
-    site and its four neighbors are inside rect.
-    """
+def _check_rule(rule: str, rng: np.random.Generator | None) -> None:
     if rule not in ("smallest", "random"):
         raise ValueError(f"unknown fill rule {rule!r}; expected 'smallest' or 'random'")
     if rule == "random" and rng is None:
         raise ValueError("fill rule 'random' needs a random generator")
-    q = sft.q
-    h = sft.h_table
-    v = sft.v_table
+
+
+def _fill_run(
+    arr: np.ndarray,
+    rect: Rect,
+    table: list[list[int]],
+    run: Run,
+    rule: str,
+    rng: np.random.Generator | None,
+) -> list[int]:
+    """Sweep the run from its alpha end, writing at each site the lowest
+    compatible symbol (rule "smallest") or one drawn uniformly among the
+    compatible ones (rule "random").
+
+    table is the SFT's fill table as lists: the symbols that fit a site
+    are the AND of its four current neighbors' masks. Mutates arr in
+    place and returns the symbols written, in sweep order. Callers
+    guarantee every site and its four neighbors are inside rect.
+    """
+    north, south, east, west = table
     x0, y1 = rect.x0, rect.y1
-    patch: SparsePatch = {}
-    for x, y in sites:
+    out: list[int] = []
+    for x, y in run.sites():
         r, c = y1 - y, x - x0
-        left = arr[r, c - 1]
-        right = arr[r, c + 1]
-        down = arr[r + 1, c]
-        up = arr[r - 1, c]
-        choices = [
-            a
-            for a in range(q)
-            if not (h[left, a] or h[a, right] or v[down, a] or v[a, up])
-        ]
-        if not choices:
+        left, right, down, up = arr[r, c - 1], arr[r, c + 1], arr[r + 1, c], arr[r - 1, c]
+        m = west[left] & east[right] & south[down] & north[up]
+        if not m:
             raise RuntimeError(
                 f"SSF contract violated: no symbol fits at {(x, y)} "
                 f"against neighbors (left={left}, right={right}, down={down}, up={up})"
             )
-        a = choices[0] if rule == "smallest" else choices[int(rng.integers(len(choices)))]
+        if rule == "random":
+            for _ in range(int(rng.integers(m.bit_count()))):
+                m &= m - 1  # drop the lowest symbol that fits
+        a = (m & -m).bit_length() - 1
         arr[r, c] = a
-        patch[(x, y)] = a
-    return patch
+        out.append(a)
+    return out
 
 
 def fill_segment(
@@ -217,8 +214,9 @@ def fill_segment(
         for t in ((x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
             if not w.rect.contains(t):
                 raise ValueError("run and its boundary must lie inside the window domain")
+    _check_rule(rule, rng)
     arr = w.array.copy()
-    return _fill_run(arr, w.rect, sft, sites, rule, rng)
+    return dict(zip(sites, _fill_run(arr, w.rect, sft.fill_table.tolist(), run, rule, rng)))
 
 
 def repair_shell(
@@ -234,9 +232,11 @@ def repair_shell(
     dec = decomposition if decomposition is not None else decompose_shell(w, sft, i)
     if not w.rect.contains_rect(Rect.centered(i + 1)):
         raise ValueError("insufficient margin")
+    _check_rule(rule, rng)
+    table = sft.fill_table.tolist()
     arr = w.array.copy()
     for run in dec.iter_runs():
-        _fill_run(arr, w.rect, sft, run.sites(), rule, rng)
+        _fill_run(arr, w.rect, table, run, rule, rng)
     return Window(w.rect, arr, _copy=False)
 
 
@@ -278,15 +278,17 @@ def repair(
     _require_ssf(sft)
     if not w.rect.contains_rect(Rect.centered(n + 1)):
         raise ValueError("insufficient margin")
+    _check_rule(rule, rng)
     mask, _ = bad_site_mask(w, sft)
     shells = [_decompose_from_mask(w.rect, mask, i) for i in range(n + 1)]
+    table = sft.fill_table.tolist()
     arr = w.array.copy()
     intermediates: list[Window] = []
     if keep_intermediates:
         intermediates.append(w)
     for dec in shells:
         for run in dec.iter_runs():
-            _fill_run(arr, w.rect, sft, run.sites(), rule, rng)
+            _fill_run(arr, w.rect, table, run, rule, rng)
         if keep_intermediates:
             intermediates.append(Window(w.rect, arr.copy(), _copy=False))
     return RepairResult(Window(w.rect, arr, _copy=False), shells, intermediates)

@@ -13,9 +13,12 @@ are evaluated, and the evaluable sub-rectangle is reported alongside.
 
 Single-site fillability (SSF): for every assignment of four symbols to
 a site's neighbors, some center symbol is compatible with all four
-constraints. The check is exhaustive over all q**4 boundary assignments
-(admissible or not) times q center symbols. A safe symbol is a center
-that works for every boundary, i.e. a symbol in no forbidden pair.
+constraints. The fill table holds, for each direction and neighbor
+symbol, the bitmask of compatible centers, so the centers that fit a
+boundary are the AND of four masks. The SSF check ANDs them over all
+q**4 boundary assignments (admissible or not); the sampler and repair
+pick their symbols from the same masks. A safe symbol is a center that
+works for every boundary, i.e. a symbol in no forbidden pair.
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ from .lattice import Rect, Site, Window
 
 Pair = tuple[int, int]
 
-SSF_BRUTE_FORCE_LIMIT = 64  # q**5 work; beyond this the check is impractical
+SSF_BRUTE_FORCE_LIMIT = 64  # q**4 boundaries; also the width of a uint64 center mask
+
+# rows of NnSft.fill_table, in the order of an SSF witness
+NORTH, SOUTH, EAST, WEST = range(4)
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,29 @@ class NnSft:
         t = np.zeros((self.q, self.q), dtype=bool)
         for a, b in self.vforbid:
             t[a, b] = True
+        t.flags.writeable = False
+        return t
+
+    @cached_property
+    def fill_table(self) -> np.ndarray:
+        """uint64 array of shape (4, q + 1): row d, column b is the bitmask
+        (bit a for center a) of the centers compatible with neighbor b in
+        direction d (NORTH, SOUTH, EAST, WEST). Column q stands for "no
+        neighbor" and has all q bits set."""
+        q = self.q
+        if q > SSF_BRUTE_FORCE_LIMIT:
+            raise ValueError(f"alphabet too large for a fill table (q > {SSF_BRUTE_FORCE_LIMIT})")
+        bits = np.left_shift(np.uint64(1), np.arange(q, dtype=np.uint64))
+        t = np.empty((4, q + 1), dtype=np.uint64)
+        # ok[b, a]: center a may sit next to neighbor b in that direction
+        for d, ok in (
+            (NORTH, ~self.v_table.T),
+            (SOUTH, ~self.v_table),
+            (EAST, ~self.h_table.T),
+            (WEST, ~self.h_table),
+        ):
+            t[d, :q] = np.bitwise_or.reduce(np.where(ok, bits, np.uint64(0)), axis=1)
+        t[:, q] = np.bitwise_or.reduce(bits)
         t.flags.writeable = False
         return t
 
@@ -178,31 +207,23 @@ def check_ssf(sft: NnSft) -> SsfResult:
 
     For every boundary assignment (north, south, east, west) there must
     be a center symbol a with (west, a) and (a, east) horizontally
-    allowed and (south, a) and (a, north) vertically allowed. On
-    failure the lexicographically first blocking boundary is returned.
+    allowed and (south, a) and (a, north) vertically allowed, i.e. the
+    AND of the four fill-table masks is nonzero. On failure the
+    lexicographically first blocking boundary is returned. One north
+    symbol is checked at a time, so at most q**3 masks are held.
     """
     q = sft.q
     if q > SSF_BRUTE_FORCE_LIMIT:
         raise ValueError(f"alphabet too large for exhaustive SSF check (q > {SSF_BRUTE_FORCE_LIMIT})")
-    h_ok = ~sft.h_table
-    v_ok = ~sft.v_table
-    # fillable[n, s, e, w] = OR over centers a of the four compatibilities
-    fillable = np.zeros((q, q, q, q), dtype=bool)
-    for a in range(q):
-        up_ok = v_ok[a, :]  # over north
-        down_ok = v_ok[:, a]  # over south
-        right_ok = h_ok[a, :]  # over east
-        left_ok = h_ok[:, a]  # over west
-        fillable |= (
-            up_ok[:, None, None, None]
-            & down_ok[None, :, None, None]
-            & right_ok[None, None, :, None]
-            & left_ok[None, None, None, :]
-        )
-    if fillable.all():
-        return SsfResult(True, None)
-    n, s, e, w = map(int, np.argwhere(~fillable)[0])
-    return SsfResult(False, (n, s, e, w))
+    t = sft.fill_table[:, :q]
+    ew = (t[EAST][:, None] & t[WEST][None, :]).ravel()  # index e * q + w
+    for n in range(q):
+        blocked = (t[NORTH][n] & t[SOUTH][:, None] & ew[None, :]) == 0  # [s, e * q + w]
+        if blocked.any():
+            s, e_w = divmod(int(np.argmax(blocked)), q * q)
+            e, w = divmod(e_w, q)
+            return SsfResult(False, (n, s, e, w))
+    return SsfResult(True, None)
 
 
 def find_safe_symbols(sft: NnSft) -> list[int]:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from nnsft import NnSft, Rect, Window, check_ssf
+from nnsft import NnSft, Rect, Run, ShellDecomposition, Window, check_ssf
+from nnsft.sft import SsfResult, bad_site_mask
 
 
 def window_from_rows(x0: int, y0: int, rows: list[list[int]]) -> Window:
@@ -111,3 +112,110 @@ def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):
         pending = sum(1 for u in dec.sites() if u in still_bad)
         rows.append((dec.total_bad, pending, observed))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Per-site references for the fill-table code paths: the SSF check over a
+# q**4 boolean array, the raster sampler, the per-site decomposition and
+# the per-site run fill. Outputs must match the package's exactly.
+
+
+def reference_check_ssf(sft: NnSft) -> SsfResult:
+    """OR over centers of the four compatibilities into fillable[n, s, e, w];
+    the witness is the first blocked boundary in lexicographic order."""
+    q = sft.q
+    h_ok = ~sft.h_table
+    v_ok = ~sft.v_table
+    fillable = np.zeros((q, q, q, q), dtype=bool)
+    for a in range(q):
+        fillable |= (
+            v_ok[a, :][:, None, None, None]
+            & v_ok[:, a][None, :, None, None]
+            & h_ok[a, :][None, None, :, None]
+            & h_ok[:, a][None, None, None, :]
+        )
+    if fillable.all():
+        return SsfResult(True, None)
+    n, s, e, w = map(int, np.argwhere(~fillable)[0])
+    return SsfResult(False, (n, s, e, w))
+
+
+def reference_sample_admissible(sft: NnSft, radius: int, rng: np.random.Generator) -> Window:
+    """Raster sweep from the bottom row up, left to right; each site takes
+    the int(draw * len(opts))-th symbol compatible with its placed left
+    and down neighbors, one draw per site in sweep order."""
+    q = sft.q
+    h, v = sft.h_table, sft.v_table
+    side = 2 * radius + 1
+    arr = np.empty((side, side), dtype=np.int64)
+    draws = rng.random(side * side)
+    k = 0
+    for r in range(side - 1, -1, -1):
+        for c in range(side):
+            left = int(arr[r, c - 1]) if c > 0 else None
+            down = int(arr[r + 1, c]) if r < side - 1 else None
+            opts = [
+                a
+                for a in range(q)
+                if not (left is not None and h[left, a]) and not (down is not None and v[down, a])
+            ]
+            arr[r, c] = opts[int(draws[k] * len(opts))]
+            k += 1
+    return Window(Rect.centered(radius), arr, _copy=False)
+
+
+def reference_decompose(w: Window, sft: NnSft, i: int) -> ShellDecomposition:
+    """Shell i's bad sites, looked up site by site, grouped into maximal
+    runs per side."""
+    mask, _ = bad_site_mask(w, sft)
+
+    def bad(x: int, y: int) -> bool:
+        return bool(mask[w.rect.y1 - y, x - w.rect.x0])
+
+    def runs(side: str, coords: list[int]) -> tuple[Run, ...]:
+        out: list[Run] = []
+        k = 0
+        while k < len(coords):
+            j = k
+            while j + 1 < len(coords) and coords[j + 1] == coords[j] + 1:
+                j += 1
+            out.append(Run(side, i, coords[k], coords[j]))
+            k = j + 1
+        return tuple(out)
+
+    if i == 0:
+        return ShellDecomposition(0, {"top": (Run("top", 0, 0, 0),)} if bad(0, 0) else {})
+    sides = {
+        "top": runs("top", [x for x in range(-i, i + 1) if bad(x, i)]),
+        "bottom": runs("bottom", [x for x in range(-i, i + 1) if bad(x, -i)]),
+        "right": runs("right", [y for y in range(-i + 1, i) if bad(i, y)]),
+        "left": runs("left", [y for y in range(-i + 1, i) if bad(-i, y)]),
+    }
+    return ShellDecomposition(i, {side: r for side, r in sides.items() if r})
+
+
+def reference_repair(
+    w: Window, sft: NnSft, n: int, rule: str, rng: np.random.Generator | None
+) -> tuple[Window, list[ShellDecomposition]]:
+    """Shells decomposed from the input, then each run swept site by site,
+    listing the symbols that fit the four current neighbors and taking
+    the first ("smallest") or choices[rng.integers(len(choices))]."""
+    shells = [reference_decompose(w, sft, i) for i in range(n + 1)]
+    h, v = sft.h_table, sft.v_table
+    arr = w.array.copy()
+    for dec in shells:
+        for run in dec.iter_runs():
+            for x, y in run.sites():
+                r, c = w.rect.y1 - y, x - w.rect.x0
+                left, right = arr[r, c - 1], arr[r, c + 1]
+                down, up = arr[r + 1, c], arr[r - 1, c]
+                choices = [
+                    a
+                    for a in range(sft.q)
+                    if not (h[left, a] or h[a, right] or v[down, a] or v[a, up])
+                ]
+                if rule == "smallest":
+                    arr[r, c] = choices[0]
+                else:
+                    arr[r, c] = choices[int(rng.integers(len(choices)))]
+    return Window(w.rect, arr, _copy=False), shells

@@ -69,6 +69,9 @@ def test_input_errors_exit_2(tmp_path):
         ("verify", "--spec", "hardsquare", "--epsilon", "nan"),
         ("verify", "--spec", "hardsquare", "--support", "-1"),
         ("sample", "--spec", "hardsquare", "--size", "-1"),
+        # windows over the sampling guard are refused before any allocation
+        ("sample", "--spec", "hardsquare", "--size", "100000"),
+        ("verify", "--spec", "hardsquare", "--size", "100000"),
         ("entropy", "--spec", "hardsquare", "--tol", "nan"),
     ):
         res = run_cli(*args)

@@ -1,0 +1,87 @@
+"""The fill table and the three code paths built on it (SSF check,
+sampler, run fill), plus the sliced shell decomposition, checked for
+exact equality against the per-site references in _util."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nnsft.harness import corrupt, sample_admissible
+from nnsft.repair import repair
+from nnsft.sft import EAST, NORTH, SOUTH, WEST, NnSft, check_ssf, checkerboard, hard_square
+
+from _util import (
+    random_ssf_sfts,
+    reference_check_ssf,
+    reference_repair,
+    reference_sample_admissible,
+)
+
+SFTS = random_ssf_sfts(12, seed=2024) + [hard_square(), checkerboard(5)]
+
+
+def test_fill_table_hard_square():
+    t = hard_square().fill_table
+    assert t.shape == (4, 3) and t.dtype == np.uint64
+    # a 1 neighbor in any direction forces a 0 center; 0 or no neighbor allows both
+    for d in (NORTH, SOUTH, EAST, WEST):
+        assert t[d].tolist() == [0b11, 0b01, 0b11]
+
+
+def test_fill_table_directions():
+    # 0 left of 1 and 2 below 0 are forbidden
+    t = NnSft(3, frozenset({(0, 1)}), frozenset({(2, 0)})).fill_table
+    assert t[WEST].tolist() == [0b101, 0b111, 0b111, 0b111]  # west 0 bans center 1
+    assert t[EAST].tolist() == [0b111, 0b110, 0b111, 0b111]  # east 1 bans center 0
+    assert t[SOUTH].tolist() == [0b111, 0b111, 0b110, 0b111]  # south 2 bans center 0
+    assert t[NORTH].tolist() == [0b011, 0b111, 0b111, 0b111]  # north 0 bans center 2
+
+
+def test_fill_table_full_width():
+    t = checkerboard(64).fill_table
+    assert int(t[NORTH, 64]) == 2**64 - 1
+    assert int(t[WEST, 63]) == 2**63 - 1
+    assert check_ssf(checkerboard(64)).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(1, 5),
+    pairs=st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)), max_size=14),
+)
+def test_check_ssf_witness_matches_reference(q, pairs):
+    hf = frozenset((a % q, b % q) for horizontal, a, b in pairs if horizontal)
+    vf = frozenset((a % q, b % q) for horizontal, a, b in pairs if not horizontal)
+    sft = NnSft(q, hf, vf)
+    assert check_ssf(sft) == reference_check_ssf(sft)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(0, len(SFTS) - 1),
+    radius=st.sampled_from([0, 1, 8, 26]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampler_matches_raster_reference(k, radius, seed):
+    sft = SFTS[k]
+    assert check_ssf(sft) == reference_check_ssf(sft)
+    got = sample_admissible(sft, radius, np.random.default_rng(seed))
+    assert got == reference_sample_admissible(sft, radius, np.random.default_rng(seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(0, len(SFTS) - 1),
+    n=st.integers(0, 12),
+    rate=st.floats(0.0, 1.0),
+    rule=st.sampled_from(["smallest", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repair_matches_per_site_reference(k, n, rate, rule, seed):
+    sft = SFTS[k]
+    rng = np.random.default_rng(seed)
+    w = corrupt(sample_admissible(sft, n + 1, rng), sft.q, rate, rng)
+    res = repair(w, sft, n, rule=rule, rng=np.random.default_rng(seed))
+    window, shells = reference_repair(w, sft, n, rule, np.random.default_rng(seed))
+    assert res.shells == shells
+    assert res.window == window

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnsft import harness
 from nnsft.harness import (
+    WINDOW_SITE_GUARD,
     TrialConfig,
     check_average_bounds,
     check_shell_gaps,
@@ -55,6 +57,11 @@ def test_sample_admissible():
         sample_admissible(checkerboard(3), 4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="radius"):
         sample_admissible(HS, -1, np.random.default_rng(0))
+    # the largest radius within the guard, and the first one past it
+    radius = (math.isqrt(WINDOW_SITE_GUARD) - 1) // 2
+    with pytest.raises(ValueError, match="guard"):
+        sample_admissible(HS, radius + 1, np.random.default_rng(0))
+    assert (2 * radius + 1) ** 2 <= WINDOW_SITE_GUARD
 
 
 def test_sample_admissible_full_shift():
@@ -211,6 +218,37 @@ def test_run_experiment_determinism_and_jobs():
     c = run_experiment(cfg_jobs)
     assert c.csv_text == a.csv_text
     assert a.all_pass
+
+
+def test_run_experiment_worker_cap(monkeypatch):
+    # the pool gets min(jobs, trials, cores) workers; no thread is started
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    serial = run_experiment(TrialConfig(sft=HS, n=4, seed=5, trials=3))
+    for jobs, trials, workers in ((5000, 3, 3), (5000, 6, 4), (2, 6, 2)):
+        result = run_experiment(TrialConfig(sft=HS, n=4, seed=5, trials=trials, jobs=jobs))
+        assert started[-1] == workers
+        assert len(result.reports) == trials
+    assert result.csv_text.splitlines()[1:4] == serial.csv_text.splitlines()[1:4]
+    # one core, or an unknown count, runs the trials in this thread
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    run_experiment(TrialConfig(sft=HS, n=4, seed=5, trials=3, jobs=8))
+    assert len(started) == 3
 
 
 def test_csv_flags_recomputable_from_rows():

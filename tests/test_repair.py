@@ -25,6 +25,8 @@ def test_run_validation():
         Run("right", 3, -3, 2)
     with pytest.raises(ValueError, match="side"):
         Run("north", 1, 0, 0)
+    # slotted: a repair can hold 10^5 runs
+    assert not hasattr(Run("top", 0, 0, 1), "__dict__")
 
 
 def test_run_sites_order():
