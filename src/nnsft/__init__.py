@@ -3,7 +3,13 @@ single-site fillability, shell-by-shell configuration repair,
 penalty-potential perturbations, a quantitative verification harness,
 and strip transfer-matrix entropy."""
 
-from .entropy import EmptySubshiftError, StripEntropyResult, StripTransfer, strip_entropy
+from .entropy import (
+    ConvergenceError,
+    EmptySubshiftError,
+    StripEntropyResult,
+    StripTransfer,
+    strip_entropy,
+)
 from .harness import (
     DEFAULT_CAP,
     DEFAULT_EPSILON,

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .entropy import EmptySubshiftError, strip_entropy
+from .entropy import ConvergenceError, strip_entropy
 from .harness import (
     DEFAULT_CAP,
     DEFAULT_EPSILON,
@@ -26,7 +26,6 @@ from .harness import (
 from .lattice import parse_window, render_window
 from .repair import repair
 from .sft import (
-    SftParseError,
     check_ssf,
     find_safe_symbols,
     load_sft,
@@ -212,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (SftParseError, EmptySubshiftError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:  # parse and empty-subshift errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,12 +6,17 @@ The number of admissible m x L patches grows like lambda_max**L for the
 dominant eigenvalue of the 0/1 transition matrix, giving per-site
 entropy log(lambda_max) / m. Natural logarithm throughout.
 
-The transition matrix is never materialized: states live inside the
-full q**m tensor (masked to the vertically admissible ones) and the
-matrix-vector product contracts the horizontal compatibility table
-along each of the m axes. Power iteration runs on I + T so periodic
-transition structure cannot stall convergence; lambda_max(T) is
-recovered by subtracting one.
+The transition matrix is never materialized. The matrix-vector product
+contracts the horizontal compatibility table against one symbol
+position at a time, bottom first, and only admissible states are
+touched: after j contractions the partial product is a 2-D array whose
+rows are the vertically admissible prefixes of length j (new symbols)
+and whose columns are the admissible suffixes of length m - j (old
+symbols), both in lexicographic order. Every step runs the same
+`np.tensordot` the full q**m tensor would, on the same nonzero terms in
+the same order, so the result is identical to the bit. Power iteration
+runs on I + T so periodic transition structure cannot stall
+convergence; lambda_max(T) is recovered by subtracting one.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from .sft import NnSft
 
+MAX_STRIP_WIDTH = 64
 STATE_ENUM_GUARD = 2_000_000
 
 
@@ -30,47 +36,83 @@ class EmptySubshiftError(ValueError):
     """The strip admits no biinfinite configuration."""
 
 
+class ConvergenceError(RuntimeError):
+    """Power iteration could not certify convergence."""
+
+
 @dataclass(frozen=True)
 class StripTransfer:
-    """Masked-tensor form of the width-m column transition relation."""
+    """Index tables of the width-m column transition relation.
+
+    `codes` holds each admissible column as its base-q number, bottom
+    symbol most significant, so sorted codes are lexicographic order.
+    `steps[j]` contracts position j: `cols` (q, suffixes' + 1) maps
+    (b, suffix') to a column of stage j, an inadmissible pair and the
+    trailing slot to stage j's zero column; `rows` picks the admissible
+    (prefix, a) rows of the contracted block, in lexicographic order.
+    """
 
     sft: NnSft
     m: int
-    vmask: np.ndarray  # bool, shape (q,)*m; True on vertically admissible columns
-    state_count: int
+    codes: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    h_ok: np.ndarray
+
+    @property
+    def state_count(self) -> int:
+        return len(self.codes)
 
     @classmethod
     def build(cls, sft: NnSft, m: int) -> "StripTransfer":
         q = sft.q
         if m < 1:
             raise ValueError("strip width must be >= 1")
+        if m > MAX_STRIP_WIDTH:
+            raise ValueError(f"strip width must be <= {MAX_STRIP_WIDTH}")
         if q**m > STATE_ENUM_GUARD:
             raise ValueError(
                 f"q**m = {q**m} exceeds the state enumeration guard ({STATE_ENUM_GUARD})"
             )
         v_ok = ~sft.v_table
-        mask = np.ones((q,) * m, dtype=bool)
-        for j in range(m - 1):
-            # columns are indexed bottom symbol first; axis j sits below axis j+1
-            shape = (1,) * j + (q, q) + (1,) * (m - j - 2)
-            mask &= v_ok.reshape(shape)
-        mask.flags.writeable = False
-        return cls(sft, m, mask, int(mask.sum()))
+        # words[k]: codes of the admissible columns of height k, sorted;
+        # a prefix and a suffix of height k range over the same words
+        words = [np.zeros(1, dtype=np.int64)]
+        extensions = []  # (word index, appended symbol) per height
+        for k in range(1, m + 1):
+            prev = words[-1]
+            ext = np.ones((1, q), dtype=bool) if k == 1 else v_ok[prev % q]
+            i, a = np.nonzero(ext)
+            extensions.append((i, a))
+            words.append(prev[i] * q + a)
+        steps = []
+        for j in range(m if len(words[m]) else 0):
+            top, rest = words[m - j], words[m - j - 1]
+            cand = np.arange(q)[:, None] * q ** (m - j - 1) + rest[None, :]
+            pos = np.minimum(np.searchsorted(top, cand), len(top) - 1)
+            cols = np.where(top[pos] == cand, pos, len(top))
+            if m > 1:
+                # the trailing slot becomes the next stage's zero column and
+                # keeps every product matrix-matrix, as on the q**m tensor;
+                # at m = 1 both are matrix-vector, which numpy sums in
+                # another order
+                cols = np.concatenate([cols, np.full((q, 1), len(top))], axis=1)
+            i, a = extensions[j]
+            steps.append((cols, a * len(words[j]) + i))
+        h_ok = (~sft.h_table).astype(float)
+        return cls(sft, m, words[m], tuple(steps), h_ok)
 
     def states(self) -> list[tuple[int, ...]]:
         """Admissible columns, bottom symbol first, lexicographic order."""
-        return [tuple(int(s) for s in idx) for idx in np.argwhere(self.vmask)]
-
-    def transition_allowed(self, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
-        return all((a, b) not in self.sft.hforbid for a, b in zip(left, right))
+        digits = self.codes[:, None] // self.sft.q ** np.arange(self.m - 1, -1, -1) % self.sft.q
+        return [tuple(int(s) for s in row) for row in digits]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """T @ v on the masked tensor."""
-        h_ok = (~self.sft.h_table).astype(float)
-        w = np.where(self.vmask, v, 0.0)
-        for ax in range(self.m):
-            w = np.moveaxis(np.tensordot(h_ok, w, axes=([1], [ax])), 0, ax)
-        return np.where(self.vmask, w, 0.0)
+        """T @ v for a vector over the states in lexicographic order."""
+        stage = np.append(v, 0.0)[None, :]
+        for cols, rows in self.steps:
+            block = np.tensordot(self.h_ok, stage[:, cols], axes=([1], [1]))
+            stage = block.reshape(-1, block.shape[2])[rows]
+        return stage[:, 0]
 
 
 @dataclass(frozen=True)
@@ -90,8 +132,12 @@ def strip_entropy(
     residual of the shifted operator against the eigenvalue estimate is
     within tol, relatively. Degenerate transition structure with a
     defective dominant eigenvalue (possible for non-mixing shifts)
-    cannot certify and raises RuntimeError rather than returning an
+    cannot certify and raises ConvergenceError rather than returning an
     uncertified value.
+
+    The sums run over a zero-filled array of all q**m columns, so numpy's
+    pairwise summation groups them exactly as it would on the full
+    tensor.
 
     Raises EmptySubshiftError when no column is admissible or no column
     can follow any other (lambda_max = 0, entropy -infinity).
@@ -101,21 +147,20 @@ def strip_entropy(
     transfer = StripTransfer.build(sft, m)
     if transfer.state_count == 0:
         raise EmptySubshiftError("empty subshift: no vertically admissible column")
-    h_ok = (~sft.h_table).astype(float)
-    mask = transfer.vmask
-    v = mask.astype(float)
-    v /= v.sum()
+    codes = transfer.codes
+    scratch = np.zeros(sft.q**m)
+    v = np.ones(transfer.state_count)
+    v /= transfer.state_count
     for iterations in range(1, max_iter + 1):
-        w = v.copy()
-        for ax in range(m):
-            w = np.moveaxis(np.tensordot(h_ok, w, axes=([1], [ax])), 0, ax)
-        w = np.where(mask, w, 0.0) + v  # iterate I + T; keeps periodic T convergent
-        s = float(w.sum())  # = L1 norm: w is nonnegative and v is normalized
-        residual = float(np.abs(w - s * v).sum())
+        w = transfer.matvec(v) + v  # iterate I + T; keeps periodic T convergent
+        scratch[codes] = w
+        s = float(scratch.sum())  # = L1 norm: w is nonnegative and v is normalized
+        scratch[codes] = np.abs(w - s * v)
+        residual = float(scratch.sum())
         v = w / s
         if residual <= tol * s:
             lam = s - 1.0
             if lam <= 0.0:
                 raise EmptySubshiftError("empty subshift: no column can follow any other")
             return StripEntropyResult(log(lam) / m, m, transfer.state_count, iterations)
-    raise RuntimeError(f"power iteration did not certify convergence in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not certify convergence in {max_iter} steps")

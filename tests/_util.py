@@ -3,9 +3,12 @@ random SFT/window generators."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from nnsft import NnSft, Rect, Run, ShellDecomposition, Window, check_ssf
+from nnsft.entropy import ConvergenceError, EmptySubshiftError, StripEntropyResult
 from nnsft.sft import SsfResult, bad_site_mask
 
 
@@ -219,3 +222,44 @@ def reference_repair(
                 else:
                     arr[r, c] = choices[int(rng.integers(len(choices)))]
     return Window(w.rect, arr, _copy=False), shells
+
+
+# ---------------------------------------------------------------------------
+# Masked-tensor strip entropy: the power iteration over the full q**m
+# tensor, vertically admissible columns masked in. The enumerated-state
+# iteration in nnsft.entropy must give exactly its value, state count and
+# iteration count, and raise where it raises.
+
+
+def reference_strip_entropy(
+    sft: NnSft, m: int, tol: float = 1e-10, max_iter: int = 100_000
+) -> StripEntropyResult:
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    q = sft.q
+    v_ok = ~sft.v_table
+    mask = np.ones((q,) * m, dtype=bool)
+    for j in range(m - 1):
+        # columns are indexed bottom symbol first; axis j sits below axis j+1
+        shape = (1,) * j + (q, q) + (1,) * (m - j - 2)
+        mask &= v_ok.reshape(shape)
+    count = int(mask.sum())
+    if count == 0:
+        raise EmptySubshiftError("empty subshift: no vertically admissible column")
+    h_ok = (~sft.h_table).astype(float)
+    v = mask.astype(float)
+    v /= v.sum()
+    for iterations in range(1, max_iter + 1):
+        w = v.copy()
+        for ax in range(m):
+            w = np.moveaxis(np.tensordot(h_ok, w, axes=([1], [ax])), 0, ax)
+        w = np.where(mask, w, 0.0) + v
+        s = float(w.sum())
+        residual = float(np.abs(w - s * v).sum())
+        v = w / s
+        if residual <= tol * s:
+            lam = s - 1.0
+            if lam <= 0.0:
+                raise EmptySubshiftError("empty subshift: no column can follow any other")
+            return StripEntropyResult(math.log(lam) / m, m, count, iterations)
+    raise ConvergenceError(f"power iteration did not certify convergence in {max_iter} steps")

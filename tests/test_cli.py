@@ -73,6 +73,11 @@ def test_input_errors_exit_2(tmp_path):
         ("sample", "--spec", "hardsquare", "--size", "100000"),
         ("verify", "--spec", "hardsquare", "--size", "100000"),
         ("entropy", "--spec", "hardsquare", "--tol", "nan"),
+        # strip widths over 64 are refused before q**m is formed
+        ("entropy", "--spec", "full:1", "--strip-width", "65"),
+        ("entropy", "--spec", "hardsquare", "--strip-width", "100000"),
+        # a power iteration that cannot certify convergence
+        ("entropy", "--spec", "hardsquare", "--strip-width", "4", "--tol", "1e-300"),
     ):
         res = run_cli(*args)
         assert res.returncode == 2, args
@@ -153,6 +158,22 @@ GOLDEN_VERIFY = {
 def test_verify_csv_golden(capsys):
     for args, digest in GOLDEN_VERIFY.items():
         assert main(["verify", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+# sha256 of the stdout of entropy; the printed repr pins every bit of the value
+GOLDEN_ENTROPY = {
+    ("--spec", "hardsquare", "--strip-width", "20"):
+        "ad86c1f51d9fe82124a286aafbfa066bd070e20f09bf20621fc8bd5c57a66816",
+    ("--spec", "checkerboard:5", "--strip-width", "8"):
+        "efa0241a89bc44134eda84b348032529a2416931db0a86404aad1b80d26b358e",
+}
+
+
+def test_entropy_golden(capsys):
+    for args, digest in GOLDEN_ENTROPY.items():
+        assert main(["entropy", *args]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 

@@ -4,8 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from nnsft.entropy import EmptySubshiftError, StripTransfer, strip_entropy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from nnsft.entropy import (
+    MAX_STRIP_WIDTH,
+    ConvergenceError,
+    EmptySubshiftError,
+    StripTransfer,
+    strip_entropy,
+)
 from nnsft.sft import NnSft, checkerboard, full_shift, hard_square
+
+from _util import random_ssf_sfts, reference_strip_entropy
+
+HARD_SQUARE_ENTROPY = 0.4074951  # rounded down; Baxter's value is 0.4074951009...
 
 
 def test_full_shift_exact():
@@ -118,23 +131,26 @@ def test_power_iteration_matches_char_poly_roots():
 
 
 def test_transitions_match_dense_oracle():
-    sft = hard_square()
-    transfer = StripTransfer.build(sft, 3)
-    cols = transfer.states()
-    dense = _dense_transfer(sft, 3)
-    assert len(cols) == dense.shape[0]
-    for a, ca in enumerate(cols):
-        for b, cb in enumerate(cols):
-            assert transfer.transition_allowed(ca, cb) == bool(dense[a, b])
-    # matvec agrees with the dense product on the embedded vector
-    rng = np.random.default_rng(71)
-    dense_vec = rng.random(len(cols))
-    tensor_vec = np.zeros(transfer.vmask.shape)
-    for ca, val in zip(cols, dense_vec):
-        tensor_vec[ca] = val
-    out = transfer.matvec(tensor_vec)
-    for a, ca in enumerate(cols):
-        assert out[ca] == pytest.approx(float(dense[a] @ dense_vec), abs=1e-12)
+    cases = (
+        (hard_square(), 3),
+        (checkerboard(3), 3),
+        (NnSft(3, frozenset({(0, 1), (2, 2)}), frozenset({(1, 0)})), 4),
+    )
+    for sft, m in cases:
+        transfer = StripTransfer.build(sft, m)
+        cols = transfer.states()
+        dense = _dense_transfer(sft, m)
+        # lexicographic order, the order the dense construction lists them in
+        assert cols == sorted(set(cols)) and len(cols) == dense.shape[0] == transfer.state_count
+        assert all(all((a, b) not in sft.vforbid for a, b in zip(c, c[1:])) for c in cols)
+        # T @ e_b is column b of the dense matrix: every transition, exactly
+        for b in range(len(cols)):
+            e = np.zeros(len(cols))
+            e[b] = 1.0
+            assert transfer.matvec(e).tolist() == dense[:, b].tolist()
+        rng = np.random.default_rng(71)
+        vec = rng.random(len(cols))
+        assert transfer.matvec(vec) == pytest.approx(dense @ vec, abs=1e-12)
 
 
 def test_empty_subshift_errors():
@@ -147,9 +163,63 @@ def test_empty_subshift_errors():
 def test_state_guard():
     with pytest.raises(ValueError, match="guard"):
         strip_entropy(full_shift(4), 12)
+    # the width is refused before q**m is formed: for q = 1 nothing else would stop it
+    for sft, m in ((full_shift(1), 65), (hard_square(), 100_000), (hard_square(), 10**30)):
+        with pytest.raises(ValueError, match="strip width"):
+            StripTransfer.build(sft, m)
+    assert strip_entropy(full_shift(1), MAX_STRIP_WIDTH).value == 0.0
 
 
 def test_determinism():
     a = strip_entropy(hard_square(), 8)
     b = strip_entropy(hard_square(), 8)
     assert a.value == b.value and a.iterations == b.iterations
+
+
+def test_strip_values_bound_the_entropy():
+    # log Z is subadditive in the width for free boundaries, so every strip
+    # value is an upper bound on the entropy, converging from above
+    values = [strip_entropy(hard_square(), m).value for m in range(1, 21)]
+    assert all(value >= HARD_SQUARE_ENTROPY for value in values)
+    assert values[-1] - HARD_SQUARE_ENTROPY < 3.5e-3
+    for m in (1, 7, 20):
+        assert strip_entropy(full_shift(2), m).value == pytest.approx(math.log(2), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The enumerated-state iteration against the masked-tensor reference:
+# equal value, states and iterations, or the same exception type.
+
+SFTS = random_ssf_sfts(12, seed=4004) + [hard_square(), checkerboard(5)]
+
+
+def _outcome(f, sft, m):
+    try:
+        return f(sft, m, max_iter=2000)
+    except (EmptySubshiftError, ConvergenceError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, len(SFTS) - 1), m=st.integers(1, 8))
+def test_matches_masked_tensor_on_ssf_sfts(k, m):
+    sft = SFTS[k]
+    assume(sft.q**m <= 5**6)
+    assert _outcome(strip_entropy, sft, m) == _outcome(reference_strip_entropy, sft, m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    q=st.integers(1, 5),
+    m=st.integers(1, 8),
+    pairs=st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)), max_size=16),
+)
+# at m = 1 the tensor is a vector and numpy sums its product in the
+# matrix-vector order; this SFT's last bit differs under the matrix order
+@example(q=4, m=1, pairs=[(True, a, b) for a, b in ((1, 2), (2, 1), (3, 1), (1, 1), (3, 0), (2, 3), (3, 2), (1, 3))])
+def test_matches_masked_tensor_on_any_sft(q, m, pairs):
+    assume(q**m <= 5**5)
+    hf = frozenset((a % q, b % q) for horizontal, a, b in pairs if horizontal)
+    vf = frozenset((a % q, b % q) for horizontal, a, b in pairs if not horizontal)
+    sft = NnSft(q, hf, vf)
+    assert _outcome(strip_entropy, sft, m) == _outcome(reference_strip_entropy, sft, m)
