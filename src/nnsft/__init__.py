@@ -30,13 +30,9 @@ from .lattice import (
     Site,
     SparsePatch,
     Window,
-    boundary,
-    box_sites,
-    concat_patches,
     metric_exact,
     parse_window,
     render_window,
-    shell_sites,
 )
 from .potentials import (
     PerturbedPotential,
@@ -53,10 +49,8 @@ from .repair import (
     Run,
     ShellDecomposition,
     changed_sites,
-    decompose_shell,
     fill_segment,
     repair,
-    repair_shell,
 )
 from .sft import (
     BadSites,

@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="perturbation support size (default 8)")
     p_verify.add_argument("--rule", choices=("smallest", "random"), default="smallest")
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="run trials concurrently; output order is unchanged")
+                          help="accepted for compatibility (must be >= 1); "
+                               "trials run in order in one thread")
     p_verify.add_argument("--csv", help="also write the CSV table to this file")
 
     p_entropy = sub.add_parser("entropy", help="strip transfer-matrix entropy per site")
@@ -165,6 +166,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     sft = load_sft(args.spec)
     cfg = TrialConfig(
         sft=sft,
@@ -176,7 +179,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         trials=args.trials,
         rule=args.rule,
-        jobs=args.jobs,
     )
     result = run_experiment(cfg)
     sys.stdout.write(result.csv_text)

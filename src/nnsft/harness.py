@@ -31,20 +31,18 @@ side drops below zero and the check is vacuous. The harness labels that
 regime explicitly and still reports the observed improvement instead of
 passing silently.
 
-All randomness derives from (master seed, trial index), so reports are
-identical under any scheduling, serial or parallel.
+All randomness derives from (master seed, trial index), so a trial's
+report does not depend on which trials ran before it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Rect, Site, Window
+from .lattice import Rect, Window
 from .potentials import PerturbedPotential, birkhoff_sum, sample_perturbation
 from .repair import ShellDecomposition, repair
 from .sft import SOUTH, WEST, NnSft, bad_site_mask, violations
@@ -80,7 +78,6 @@ class TrialConfig:
     seed: int = 0
     trials: int = 1
     rule: str = "smallest"
-    jobs: int = 1
     allow_out_of_hypothesis: bool = False
 
     def __post_init__(self) -> None:
@@ -92,8 +89,6 @@ class TrialConfig:
             raise ValueError("perturbation support size must be >= 0")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if 5.0 * self.cap > self.epsilon and not self.allow_out_of_hypothesis:
             raise ValueError(
                 f"5*cap = {5.0 * self.cap} exceeds epsilon = {self.epsilon}; "
@@ -180,15 +175,16 @@ def corrupt(w: Window, q: int, rate: float, rng: np.random.Generator) -> Window:
     return Window(w.rect, np.where(hit, draws, w.array), _copy=False)
 
 
-def _region_bad_count(w: Window, sft: NnSft, region: Rect) -> int:
+def _region_bad_mask(w: Window, sft: NnSft, region: Rect) -> np.ndarray:
+    """w's bad-site mask with every site outside the region cleared."""
     mask, evaluable = bad_site_mask(w, sft)
     if evaluable is None or not evaluable.contains_rect(region):
         raise ValueError("insufficient margin")
-    r_top = w.rect.y1 - region.y1
-    r_bot = w.rect.y1 - region.y0
-    c_left = region.x0 - w.rect.x0
-    c_right = region.x1 - w.rect.x0
-    return int(mask[r_top : r_bot + 1, c_left : c_right + 1].sum())
+    rows = slice(w.rect.y1 - region.y1, w.rect.y1 - region.y0 + 1)
+    cols = slice(region.x0 - w.rect.x0, region.x1 - w.rect.x0 + 1)
+    out = np.zeros_like(mask)
+    out[rows, cols] = mask[rows, cols]
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ class AverageBoundReport:
 
 def check_average_bounds(g: PerturbedPotential, w: Window, region: Rect) -> AverageBoundReport:
     gap = g.gap
-    bad = _region_bad_count(w, g.sft, region)
+    bad = int(_region_bad_mask(w, g.sft, region).sum())
     bf = bad / region.area
     avg = birkhoff_sum(g, w, region) / region.area
     if bad == 0:
@@ -305,7 +301,7 @@ def check_shell_gaps(
         raise ValueError("insufficient margin")
     ys = rect.y1 - np.arange(rect.height)
     xs = rect.x0 + np.arange(rect.width)
-    cheb = np.maximum.outer(np.abs(ys), np.abs(xs))
+    norm = np.maximum.outer(np.abs(ys), np.abs(xs))
     inside = np.outer(
         (region.y0 <= ys) & (ys <= region.y1), (region.x0 <= xs) & (xs <= region.x1)
     )
@@ -321,8 +317,8 @@ def check_shell_gaps(
     after = corrupted
     for i, dec in enumerate(shells):
         before = after
-        after = Window(rect, np.where(cheb <= i, repaired.array, corrupted.array), _copy=False)
-        shell = cheb == i
+        after = Window(rect, np.where(norm <= i, repaired.array, corrupted.array), _copy=False)
+        shell = norm == i
         sx, sy = _sites(rect, _dilate(shell & changed) & inside)
         observed = sum((g.value(after, sx, sy) - g.value(before, sx, sy)).tolist())
         px, py = _sites(rect, shell & bad_in)
@@ -461,15 +457,18 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
     region = cfg.region
 
     bad_total = result.total_bad
-    if bad_total != _region_bad_count(corrupted, sft, region):
+    # the bad sites of shells 0..n: the only sites repair may change
+    bad_in_region = _region_bad_mask(corrupted, sft, region)
+    if bad_total != int(bad_in_region.sum()):
         raise RuntimeError("shell decomposition lost bad sites")
     admissible_check = check_average_bounds(g, base, region)
     corrupted_check = check_average_bounds(g, corrupted, region)
     shell_check = check_shell_gaps(g, corrupted, result.window, result.shells, region)
     total_check = check_total_gap(g, corrupted, result.window, result.shells, region, cfg.n)
 
-    repaired_clean = _region_bad_count(result.window, sft, region) == 0
-    locality_ok = _changes_within_bad_sites(corrupted, result.window, result.shells)
+    repaired_clean = not _region_bad_mask(result.window, sft, region).any()
+    changed = corrupted.array != result.window.array
+    locality_ok = not (changed & ~bad_in_region).any()
 
     return TrialReport(
         index=index,
@@ -486,19 +485,6 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
         repaired_clean=repaired_clean,
         locality_ok=locality_ok,
     )
-
-
-def _changes_within_bad_sites(
-    before: Window, after: Window, shells: list[ShellDecomposition]
-) -> bool:
-    allowed: set[Site] = set()
-    for dec in shells:
-        allowed |= dec.sites()
-    rect = before.rect
-    for r, c in np.argwhere(before.array != after.array):
-        if (rect.x0 + int(c), rect.y1 - int(r)) not in allowed:
-            return False
-    return True
 
 
 @dataclass
@@ -541,18 +527,6 @@ def render_csv(reports: list[TrialReport]) -> str:
 
 
 def run_experiment(cfg: TrialConfig) -> ExperimentResult:
-    """Run all configured trials; reports come back in trial order
-    regardless of scheduling.
-
-    At most min(jobs, trials, cores) worker threads are started; more
-    would only wait for a core, and the reports do not depend on how
-    many run.
-    """
-    indices = range(cfg.trials)
-    workers = min(cfg.jobs, cfg.trials, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda i: run_trial(cfg, i), indices))
-    else:
-        reports = [run_trial(cfg, i) for i in indices]
+    """Run all configured trials in order, in the calling thread."""
+    reports = [run_trial(cfg, i) for i in range(cfg.trials)]
     return ExperimentResult(reports, render_csv(reports))

@@ -1,10 +1,9 @@
 """Square-lattice geometry and finite configurations.
 
-Sites are integer pairs (x, y). Adjacency is taxicab: u and v are
-adjacent iff |u1-v1| + |u2-v2| = 1. Centered boxes [-n, n] x [-n, n],
-their one-site-thick shells, and arbitrary rectangles provide the
-shapes; a Window is a dense rectangular configuration, and a sparse
-patch is a plain dict from sites to symbols.
+Sites are integer pairs (x, y). Rectangles, among them the centered
+boxes [-n, n] x [-n, n], give the shapes; a Window is a dense
+configuration on a rectangle, and a sparse patch is a plain dict from
+sites to symbols.
 
 Two same-domain windows are compared with the dyadic metric 2**-i,
 where i is the smallest Chebyshev norm of a site where they disagree.
@@ -20,74 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 Site = tuple[int, int]
 SparsePatch = dict[Site, int]
-
-E1: Site = (1, 0)
-E2: Site = (0, 1)
-
-
-def taxicab(u: Site) -> int:
-    return abs(u[0]) + abs(u[1])
-
-
-def cheb(u: Site) -> int:
-    return max(abs(u[0]), abs(u[1]))
-
-
-def adjacent(u: Site, v: Site) -> bool:
-    """True iff the two sites are taxicab-adjacent."""
-    return abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1
-
-
-def neighbors(u: Site) -> list[Site]:
-    """The four adjacent sites, in (+x, -x, +y, -y) order."""
-    x, y = u
-    return [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
-
-
-def boundary(sites: Iterable[Site]) -> set[Site]:
-    """Exterior boundary: sites outside the set adjacent to a member.
-
-    Raises ValueError("empty shape") on empty input.
-    """
-    inside = set(sites)
-    if not inside:
-        raise ValueError("empty shape")
-    out: set[Site] = set()
-    for u in inside:
-        for v in neighbors(u):
-            if v not in inside:
-                out.add(v)
-    return out
-
-
-def box_sites(n: int) -> list[Site]:
-    """All (2n+1)**2 sites of [-n, n] x [-n, n], row-major, top row first."""
-    if n < 0:
-        raise ValueError("box radius must be >= 0")
-    return [(x, y) for y in range(n, -n - 1, -1) for x in range(-n, n + 1)]
-
-
-def shell_sites(i: int) -> list[Site]:
-    """The 8i sites at Chebyshev norm exactly i (shell 0 is the origin).
-
-    Ordered row-major, top row first, consistent with box_sites.
-    """
-    if i < 0:
-        raise ValueError("shell radius must be >= 0")
-    if i == 0:
-        return [(0, 0)]
-    out: list[Site] = [(x, i) for x in range(-i, i + 1)]
-    for y in range(i - 1, -i, -1):
-        out.append((-i, y))
-        out.append((i, y))
-    out.extend((x, -i) for x in range(-i, i + 1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -211,17 +148,6 @@ class Window:
     def __repr__(self) -> str:
         r = self.rect
         return f"Window({r.x0}, {r.y0}, {r.width}x{r.height})"
-
-
-def concat_patches(*patches: SparsePatch) -> SparsePatch:
-    """Union of sparse patches; their domains must be pairwise disjoint."""
-    out: SparsePatch = {}
-    for p in patches:
-        for u, a in p.items():
-            if u in out:
-                raise ValueError(f"patch domains overlap at {u}")
-            out[u] = a
-    return out
 
 
 @dataclass(frozen=True)

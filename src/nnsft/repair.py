@@ -141,18 +141,6 @@ def _decompose_from_mask(rect: Rect, mask: np.ndarray, i: int) -> ShellDecomposi
     return ShellDecomposition(i, {side: runs for side, runs in sides.items() if runs})
 
 
-def decompose_shell(w: Window, sft: NnSft, i: int) -> ShellDecomposition:
-    """Bad sites of w at Chebyshev norm i, as per-side maximal runs.
-
-    The window must contain the box of radius i+1 (badness at the shell
-    looks one step right and up).
-    """
-    if not w.rect.contains_rect(Rect.centered(i + 1)):
-        raise ValueError("insufficient margin")
-    mask, _ = bad_site_mask(w, sft)
-    return _decompose_from_mask(w.rect, mask, i)
-
-
 def _check_rule(rule: str, rng: np.random.Generator | None) -> None:
     if rule not in ("smallest", "random"):
         raise ValueError(f"unknown fill rule {rule!r}; expected 'smallest' or 'random'")
@@ -217,27 +205,6 @@ def fill_segment(
     _check_rule(rule, rng)
     arr = w.array.copy()
     return dict(zip(sites, _fill_run(arr, w.rect, sft.fill_table.tolist(), run, rule, rng)))
-
-
-def repair_shell(
-    w: Window,
-    sft: NnSft,
-    i: int,
-    rule: str = "smallest",
-    rng: np.random.Generator | None = None,
-    decomposition: ShellDecomposition | None = None,
-) -> Window:
-    """Refill every bad run of shell i; the result equals w off the shell."""
-    _require_ssf(sft)
-    dec = decomposition if decomposition is not None else decompose_shell(w, sft, i)
-    if not w.rect.contains_rect(Rect.centered(i + 1)):
-        raise ValueError("insufficient margin")
-    _check_rule(rule, rng)
-    table = sft.fill_table.tolist()
-    arr = w.array.copy()
-    for run in dec.iter_runs():
-        _fill_run(arr, w.rect, table, run, rule, rng)
-    return Window(w.rect, arr, _copy=False)
 
 
 @dataclass

@@ -68,6 +68,7 @@ def test_input_errors_exit_2(tmp_path):
         ("verify", "--spec", "hardsquare", "--cap", "inf", "--epsilon", "inf"),
         ("verify", "--spec", "hardsquare", "--epsilon", "nan"),
         ("verify", "--spec", "hardsquare", "--support", "-1"),
+        ("verify", "--spec", "hardsquare", "--jobs", "0"),
         ("sample", "--spec", "hardsquare", "--size", "-1"),
         # windows over the sampling guard are refused before any allocation
         ("sample", "--spec", "hardsquare", "--size", "100000"),

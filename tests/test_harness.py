@@ -22,7 +22,7 @@ from nnsft.harness import (
 )
 from nnsft.lattice import Rect, Window
 from nnsft.potentials import PerturbedPotential, birkhoff_sum, sample_perturbation, zero_perturbation
-from nnsft.repair import repair
+from nnsft.repair import RepairResult, repair
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square, violations
 
 from _util import pair_scan_bad_sites, random_ssf_sfts, reference_shell_rows
@@ -209,46 +209,39 @@ def test_run_trial_zero_support_exact_identity():
     assert r.total_check.total_gap == pytest.approx(-float(r.bad_total), abs=1e-12)
 
 
+def test_run_trial_locality_failures(monkeypatch):
+    # repair may change only the corrupted window's bad sites inside the
+    # box of radius N; one stray change must fail the trial
+    cfg = TrialConfig(sft=HS, n=6, seed=4, corrupt_rate=0.3)
+    assert run_trial(cfg, 0).locality_ok
+
+    def not_bad(w):
+        bad = bad_sites(w, HS).sites
+        return next(s for s in cfg.region.sites() if s not in bad)
+
+    def bad_outside_box(w):
+        return min(s for s in bad_sites(w, HS).sites if max(map(abs, s)) == cfg.n + 1)
+
+    for pick in (not_bad, bad_outside_box):
+        def tampered(w, sft, n, **kwargs):
+            res = repair(w, sft, n, **kwargs)
+            x, y = pick(w)
+            arr = res.window.array.copy()
+            arr[w.rect.y1 - y, x - w.rect.x0] ^= 1  # repair left this site as it was
+            return RepairResult(Window(w.rect, arr), res.shells, res.intermediates)
+
+        monkeypatch.setattr(harness, "repair", tampered)
+        r = run_trial(cfg, 0)
+        assert not r.locality_ok, pick.__name__
+        assert not r.all_pass, pick.__name__
+
+
 def test_run_experiment_determinism_and_jobs():
     cfg = TrialConfig(sft=HS, n=10, seed=21, trials=6)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert a.csv_text == b.csv_text
-    cfg_jobs = TrialConfig(sft=HS, n=10, seed=21, trials=6, jobs=3)
-    c = run_experiment(cfg_jobs)
-    assert c.csv_text == a.csv_text
     assert a.all_pass
-
-
-def test_run_experiment_worker_cap(monkeypatch):
-    # the pool gets min(jobs, trials, cores) workers; no thread is started
-    started = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-    serial = run_experiment(TrialConfig(sft=HS, n=4, seed=5, trials=3))
-    for jobs, trials, workers in ((5000, 3, 3), (5000, 6, 4), (2, 6, 2)):
-        result = run_experiment(TrialConfig(sft=HS, n=4, seed=5, trials=trials, jobs=jobs))
-        assert started[-1] == workers
-        assert len(result.reports) == trials
-    assert result.csv_text.splitlines()[1:4] == serial.csv_text.splitlines()[1:4]
-    # one core, or an unknown count, runs the trials in this thread
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-    run_experiment(TrialConfig(sft=HS, n=4, seed=5, trials=3, jobs=8))
-    assert len(started) == 3
 
 
 def test_csv_flags_recomputable_from_rows():

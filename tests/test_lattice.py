@@ -3,79 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nnsft.lattice import (
-    Rect,
-    Window,
-    boundary,
-    box_sites,
-    cheb,
-    concat_patches,
-    metric_exact,
-    parse_window,
-    render_window,
-    shell_sites,
-    taxicab,
-)
+from nnsft.lattice import Rect, Window, metric_exact, parse_window, render_window
 
 from _util import random_window, window_from_rows
-
-
-def test_boundary_single_site():
-    assert boundary({(0, 0)}) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-
-
-def test_boundary_domino():
-    assert boundary({(0, 0), (1, 0)}) == {
-        (-1, 0), (2, 0), (0, 1), (1, 1), (0, -1), (1, -1),
-    }
-
-
-def test_boundary_box_radius_one():
-    # independent oracle: scan a comfortably larger box for exterior
-    # sites taxicab-adjacent to the 3x3 block
-    box = set(box_sites(1))
-    expected = {
-        u for u in box_sites(3)
-        if u not in box and any(taxicab((u[0] - v[0], u[1] - v[1])) == 1 for v in box)
-    }
-    got = boundary(box)
-    assert got == expected
-    assert got == {(x, 2) for x in (-1, 0, 1)} | {(x, -2) for x in (-1, 0, 1)} | {
-        (2, y) for y in (-1, 0, 1)
-    } | {(-2, y) for y in (-1, 0, 1)}
-    assert len(got) == 12
-
-
-def test_boundary_empty_input():
-    with pytest.raises(ValueError, match="empty shape"):
-        boundary(set())
-
-
-def test_box_sites():
-    assert box_sites(0) == [(0, 0)]
-    assert len(box_sites(2)) == 25
-    sites = box_sites(1)
-    assert sites[0] == (-1, 1)
-    assert sites == [(-1, 1), (0, 1), (1, 1), (-1, 0), (0, 0), (1, 0), (-1, -1), (0, -1), (1, -1)]
-
-
-def test_shell_sites():
-    assert shell_sites(0) == [(0, 0)]
-    assert len(shell_sites(1)) == 8
-    assert len(shell_sites(3)) == 24
-    for i in range(1, 8):
-        assert all(cheb(u) == i for u in shell_sites(i))
-        # row-major top row first
-        assert shell_sites(i) == sorted(shell_sites(i), key=lambda s: (-s[1], s[0]))
-
-
-def test_shells_partition_boxes():
-    for n in range(21):
-        union: list = []
-        for i in range(n + 1):
-            union.extend(shell_sites(i))
-        assert len(union) == len(set(union))  # disjoint
-        assert set(union) == set(box_sites(n))
 
 
 def test_rect_basics():
@@ -114,12 +44,6 @@ def test_window_translate():
     t = w.translate((10, -5))
     assert t.get((10, -4)) == 1
     assert t.get((11, -5)) == 4
-
-
-def test_concat_patches():
-    assert concat_patches({(0, 0): 1}, {(1, 0): 2}) == {(0, 0): 1, (1, 0): 2}
-    with pytest.raises(ValueError, match="overlap"):
-        concat_patches({(0, 0): 1}, {(0, 0): 2})
 
 
 def test_metric_agreement_sentinel():
@@ -175,7 +99,7 @@ def test_metric_shift_compatibility():
             (rect.x0 + int(c), rect.y1 - int(r))
             for r, c in np.argwhere(x.array != y.array)
         ]
-        expected = min(cheb((s[0] + v[0], s[1] + v[1])) for s in diffs)
+        expected = min(max(abs(s[0] + v[0]), abs(s[1] + v[1])) for s in diffs)
         assert metric_exact(x.translate(v), y.translate(v)).radius == expected
 
 

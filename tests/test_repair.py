@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from nnsft.lattice import Rect, Window, box_sites
-from nnsft.repair import (
-    Run,
-    changed_sites,
-    decompose_shell,
-    fill_segment,
-    repair,
-    repair_shell,
-)
+from nnsft.lattice import Rect, Window
+from nnsft.repair import Run, changed_sites, fill_segment, repair
 from nnsft.sft import bad_sites, checkerboard, hard_square, violations
 from nnsft.harness import corrupt, sample_admissible
 
@@ -39,7 +32,7 @@ def test_run_sites_order():
 def test_decompose_single_bad_site():
     hs = hard_square()
     w = Window.filled(Rect.centered(3), 0).with_patch({(2, 2): 1, (2, 3): 1})
-    dec = decompose_shell(w, hs, 2)
+    dec = repair(w, hs, 2).shells[2]
     assert dec.runs["top"] == (Run("top", 2, 2, 2),)
     assert "bottom" not in dec.runs and "right" not in dec.runs and "left" not in dec.runs
     assert dec.total_bad == 1
@@ -52,13 +45,13 @@ def test_decompose_top_runs_ordered():
         patch[(x, 3)] = 1
         patch[(x, 4)] = 1
     w = Window.filled(Rect.centered(4), 0).with_patch(patch)
-    dec = decompose_shell(w, hs, 3)
+    dec = repair(w, hs, 3).shells[3]
     assert dec.runs["top"] == (Run("top", 3, -1, 0), Run("top", 3, 2, 2))
     assert dec.total_bad == 3
 
 
 def test_decompose_admissible_window():
-    dec = decompose_shell(Window.filled(Rect.centered(4), 0), hard_square(), 3)
+    dec = repair(Window.filled(Rect.centered(4), 0), hard_square(), 3).shells[3]
     assert dec.is_empty and dec.total_bad == 0
 
 
@@ -67,7 +60,7 @@ def test_decompose_corner_belongs_to_top():
     w = Window.filled(Rect.centered(4), 0).with_patch(
         {(3, 3): 1, (3, 4): 1, (2, 3): 1, (2, 4): 1}
     )
-    dec = decompose_shell(w, hs, 3)
+    dec = repair(w, hs, 3).shells[3]
     assert dec.runs["top"] == (Run("top", 3, 2, 3),)  # one joint run
     assert "right" not in dec.runs
 
@@ -75,13 +68,13 @@ def test_decompose_corner_belongs_to_top():
 def test_decompose_origin_shell():
     hs = hard_square()
     w = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1, (1, 0): 1})
-    dec = decompose_shell(w, hs, 0)
+    dec = repair(w, hs, 0).shells[0]
     assert dec.runs["top"] == (Run("top", 0, 0, 0),)
 
 
 def test_decompose_margin_error():
     with pytest.raises(ValueError, match="insufficient margin"):
-        decompose_shell(Window.filled(Rect.centered(3), 0), hard_square(), 3)
+        repair(Window.filled(Rect.centered(3), 0), hard_square(), 3).shells[3]
 
 
 def test_fill_segment_hard_square_pair():
@@ -149,17 +142,6 @@ def test_fill_segment_random_instances_pass_oracle():
     assert checked >= 450
 
 
-def test_repair_shell_only_touches_shell():
-    hs = hard_square()
-    rng = np.random.default_rng(9)
-    w = corrupt(sample_admissible(hs, 6, rng), 2, 0.5, rng)
-    out = repair_shell(w, hs, 3)
-    dec = decompose_shell(w, hs, 3)
-    assert changed_sites(w, out) <= dec.sites()
-    # all shell-3 sites clean afterwards
-    assert not (bad_sites(out, hs).sites & set(dec.sites()))
-
-
 def test_repair_admissible_is_identity():
     hs = hard_square()
     rng = np.random.default_rng(10)
@@ -173,7 +155,7 @@ def test_repair_all_ones_window():
     hs = hard_square()
     w = Window.filled(Rect.centered(5), 1)
     res = repair(w, hs, 4)
-    box4 = set(box_sites(4))
+    box4 = set(Rect.centered(4).sites())
     assert changed_sites(w, res.window) == box4  # every site of the box was bad
     assert not (bad_sites(res.window, hs).sites & box4)
     # smallest-symbol rule rewrites everything to the safe symbol
@@ -235,11 +217,11 @@ def test_repair_invariants_seeded():
             # on shells 0..i and the input elsewhere
             ys = w.rect.y1 - np.arange(w.rect.height)
             xs = w.rect.x0 + np.arange(w.rect.width)
-            cheb = np.maximum.outer(np.abs(ys), np.abs(xs))
+            norm = np.maximum.outer(np.abs(ys), np.abs(xs))
             assert len(res.intermediates) == n + 2 and res.intermediates[0] == w
             for i, inter in enumerate(res.intermediates[1:]):
                 assert not _box_violations(inter, sft, i)
-                assert np.array_equal(inter.array, np.where(cheb <= i, res.window.array, w.array))
+                assert np.array_equal(inter.array, np.where(norm <= i, res.window.array, w.array))
             # idempotence
             again = repair(res.window, sft, n)
             assert again.window == res.window
