@@ -29,6 +29,7 @@ import numpy as np
 from .sft import NnSft
 
 MAX_STRIP_WIDTH = 64
+TOL_FLOOR = 2.0**-52  # machine epsilon: the relative rounding floor of the residual
 STATE_ENUM_GUARD = 2_000_000
 
 
@@ -140,10 +141,18 @@ def strip_entropy(
     tensor.
 
     Raises EmptySubshiftError when no column is admissible or no column
-    can follow any other (lambda_max = 0, entropy -infinity).
+    can follow any other (lambda_max = 0, entropy -infinity). A tol
+    below TOL_FLOOR is refused before iterating: rounding in the
+    residual alone can keep it above tol * s forever. The floor is
+    machine epsilon, not a bound derived for each strip: the hard square
+    at m = 20 and checkerboard:5 at m = 8 certify at it, but the L1
+    residual over many states can carry more rounding than that, so a
+    tol at or just above the floor may still end in ConvergenceError.
     """
-    if not 0.0 < tol < inf:
-        raise ValueError("tol must be positive and finite")
+    if not TOL_FLOOR <= tol < inf:
+        raise ValueError(
+            f"tol must be finite and at least {TOL_FLOOR!r}, the residual's rounding floor"
+        )
     transfer = StripTransfer.build(sft, m)
     if transfer.state_count == 0:
         raise EmptySubshiftError("empty subshift: no vertically admissible column")

@@ -17,10 +17,16 @@ certified norm gap of g (never the looser nominal value):
   but yield no improvement, so the bound taken over the full |S_i| is
   genuinely violated on a few percent of random trials; the harness
   records that literal margin without asserting it. The per-shell sums
-  are replayed from the repair's input and output alone: repair writes
-  each site of shell i once, while it repairs shell i, so the window
-  before shell i equals the output on shells 0..i-1 and the input
-  elsewhere, and no intermediate window has to be kept;
+  come from the repair's input and output alone: repair writes each
+  site of shell i once, while it repairs shell i, so the window before
+  shell i equals the output on shells 0..i-1 and the input elsewhere.
+  A site of norm k has a 3x3 patch spanning norms k-1..k+1, so its g
+  moves only while shells k-1, k and k+1 are repaired, and four passes
+  of the evaluator over the region (input; patch repaired below norm
+  k; patch repaired up to norm k; output) give every shell's terms.
+  Each shell sums its terms with builtin sum in sorted (x, y) order,
+  the order of a site-by-site replay, so no intermediate window is
+  built;
 * total improvement: summed over shells and with a dyadic tail
   allowance 2*(8N+8) for the influence of the first unrepaired shell,
   the window-averaged improvement is at least
@@ -43,7 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Rect, Window
-from .potentials import PerturbedPotential, birkhoff_sum, sample_perturbation
+from .potentials import (
+    PATCH_CENTER,
+    PerturbedPotential,
+    birkhoff_sum,
+    region_patches,
+    sample_perturbation,
+)
 from .repair import ShellDecomposition, repair
 from .sft import SOUTH, WEST, NnSft, bad_site_mask, violations
 
@@ -175,16 +187,13 @@ def corrupt(w: Window, q: int, rate: float, rng: np.random.Generator) -> Window:
     return Window(w.rect, np.where(hit, draws, w.array), _copy=False)
 
 
-def _region_bad_mask(w: Window, sft: NnSft, region: Rect) -> np.ndarray:
-    """w's bad-site mask with every site outside the region cleared."""
-    mask, evaluable = bad_site_mask(w, sft)
-    if evaluable is None or not evaluable.contains_rect(region):
-        raise ValueError("insufficient margin")
-    rows = slice(w.rect.y1 - region.y1, w.rect.y1 - region.y0 + 1)
-    cols = slice(region.x0 - w.rect.x0, region.x1 - w.rect.x0 + 1)
-    out = np.zeros_like(mask)
-    out[rows, cols] = mask[rows, cols]
-    return out
+def _cut(rect: Rect, region: Rect) -> tuple[slice, slice]:
+    """The rows and columns of an array over rect (row 0 the top row, as
+    in a Window) that hold the region."""
+    return (
+        slice(rect.y1 - region.y1, rect.y1 - region.y0 + 1),
+        slice(region.x0 - rect.x0, region.x1 - rect.x0 + 1),
+    )
 
 
 @dataclass(frozen=True)
@@ -207,8 +216,12 @@ class AverageBoundReport:
 
 
 def check_average_bounds(g: PerturbedPotential, w: Window, region: Rect) -> AverageBoundReport:
+    """The density-split bounds on w's normalized windowed sum over the
+    region."""
+    if not w.rect.contains_rect(region.inflate(1)):
+        raise ValueError("insufficient margin")
     gap = g.gap
-    bad = int(_region_bad_mask(w, g.sft, region).sum())
+    bad = int(bad_site_mask(w, g.sft)[0][_cut(w.rect, region)].sum())
     bf = bad / region.area
     avg = birkhoff_sum(g, w, region) / region.area
     if bad == 0:
@@ -258,24 +271,6 @@ class ShellGapReport:
     ok: bool
 
 
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    """Sites within Chebyshev distance 1 of a True site."""
-    rows = mask.copy()
-    rows[1:] |= mask[:-1]
-    rows[:-1] |= mask[1:]
-    out = rows.copy()
-    out[:, 1:] |= rows[:, :-1]
-    out[:, :-1] |= rows[:, 1:]
-    return out
-
-
-def _sites(rect: Rect, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, ys) of the True sites of a window-shaped mask, in sorted
-    (x, y) order."""
-    cols, rows_up = np.nonzero(mask.T[:, ::-1])
-    return rect.x0 + cols, rect.y0 + rows_up
-
-
 def check_shell_gaps(
     g: PerturbedPotential,
     corrupted: Window,
@@ -288,25 +283,69 @@ def check_shell_gaps(
     shell's sites still bad when its turn comes.
 
     shells is repair's decomposition of corrupted and repaired its
-    output; the windows before and after each shell are replayed from
-    the two (see the module docstring). The observed gain of shell i
-    sums g(after) - g(before) over the region's sites whose 3x3 patch
-    meets a site the shell changed (every other term cancels), site by
-    site in sorted (x, y) order.
+    output. The window
+    before shell i is the output at Chebyshev norms < i and the input
+    elsewhere (see the module docstring), so at a site of norm k, whose
+    3x3 patch spans norms k-1..k+1, g takes four values: on the input
+    (C), with the patch repaired at norms < k (A) and at norms <= k (B),
+    and on the output (R). Shell k-1 gains A - C there, shell k B - A
+    and shell k+1 R - B, and no other shell moves it. So four passes of
+    the evaluator over the hull of the region and the last shell's box
+    give every term. A shell's observed gain sums its nonzero terms at
+    region sites with builtin sum, site by site in sorted (x, y) order;
+    pending_i counts the sites of the whole shell i that are bad in the
+    input and in state A.
     """
     rect = corrupted.rect
     if repaired.rect != rect:
         raise ValueError("mismatched domains")
-    if not rect.contains_rect(region.inflate(1)):
-        raise ValueError("insufficient margin")
+    hull = region
+    if shells:
+        box = Rect.centered(len(shells) - 1)
+        x0, y0 = min(region.x0, box.x0), min(region.y0, box.y0)
+        hull = Rect(x0, y0, max(region.x1, box.x1) - x0 + 1, max(region.y1, box.y1) - y0 + 1)
     ys = rect.y1 - np.arange(rect.height)
     xs = rect.x0 + np.arange(rect.width)
-    norm = np.maximum.outer(np.abs(ys), np.abs(xs))
-    inside = np.outer(
-        (region.y0 <= ys) & (ys <= region.y1), (region.x0 <= xs) & (xs <= region.x1)
-    )
-    changed = corrupted.array != repaired.array
-    bad_in, _ = bad_site_mask(corrupted, g.sft)
+    dist = region_patches(np.maximum.outer(np.abs(ys), np.abs(xs)), rect, hull)
+    norm = dist[PATCH_CENTER]  # the Chebyshev norm of each hull site
+    # symbols fit a byte (q <= 64 under SSF), which keeps the mixed states small
+    small = np.min_scalar_type(g.sft.q - 1)
+    before = region_patches(corrupted.array.astype(small), rect, hull)
+    after = region_patches(repaired.array.astype(small), rect, hull)
+
+    def states():  # C, A, B, R, one at a time
+        yield before
+        yield [np.where(d < norm, r, c) for d, r, c in zip(dist, after, before)]
+        yield [np.where(d <= norm, r, c) for d, r, c in zip(dist, after, before)]
+        yield after
+
+    height, width = norm.shape
+    inside = np.zeros(norm.shape, dtype=bool)
+    inside[_cut(hull, region)] = True
+    keys, terms = [], []
+    previous = None
+    for shift, patch in enumerate(states(), -2):
+        bad, h = g.patch_parts(patch)
+        value = h - bad
+        if shift == -2:  # the input's bad sites; the hull's are all evaluable
+            bad_in = bad
+        elif shift == -1:  # at a site of norm k, A is the window before shell k's repair
+            still_bad = bad_in & bad & (norm < len(shells))
+            pending = np.bincount(norm[still_bad], minlength=len(shells)).tolist()
+        if previous is not None:  # shell k + shift gains value - previous at norm k
+            term = value - previous
+            keep = inside & (term != 0) & (norm >= -shift) & (norm < len(shells) - shift)
+            at = np.flatnonzero(keep)
+            # key (shell, x, y): x-major, then y ascending, within a shell
+            row, col = np.divmod(at, width)
+            keys.append((norm[keep] + shift) * hull.area + col * height + (height - 1 - row))
+            terms.append(term[keep])
+        previous = value
+    key = np.concatenate(keys)
+    order = np.argsort(key)
+    sorted_terms = np.concatenate(terms)[order].tolist()
+    bounds = np.searchsorted(key[order], np.arange(len(shells) + 1) * hull.area).tolist()
+
     gap = g.gap
     site_coeff = 1.0 - SHELL_SITE_COEFF * gap
     slack = SHELL_SLACK_COEFF * gap
@@ -314,21 +353,13 @@ def check_shell_gaps(
     min_margin = math.inf
     min_literal = math.inf
     ok = True
-    after = corrupted
     for i, dec in enumerate(shells):
-        before = after
-        after = Window(rect, np.where(norm <= i, repaired.array, corrupted.array), _copy=False)
-        shell = norm == i
-        sx, sy = _sites(rect, _dilate(shell & changed) & inside)
-        observed = sum((g.value(after, sx, sy) - g.value(before, sx, sy)).tolist())
-        px, py = _sites(rect, shell & bad_in)
-        pending = int(g.parts(before, px, py)[0].sum())
         row = ShellGapRow(
             i=i,
             size=dec.total_bad,
-            pending=pending,
-            observed=observed,
-            required=site_coeff * pending - slack,
+            pending=pending[i],
+            observed=sum(sorted_terms[bounds[i] : bounds[i + 1]], 0.0),
+            required=site_coeff * pending[i] - slack,
             required_literal=site_coeff * dec.total_bad - slack,
         )
         min_margin = min(min_margin, row.margin)
@@ -457,8 +488,11 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
     region = cfg.region
 
     bad_total = result.total_bad
+    bad_mask, _ = bad_site_mask(corrupted, sft)
     # the bad sites of shells 0..n: the only sites repair may change
-    bad_in_region = _region_bad_mask(corrupted, sft, region)
+    cut = _cut(corrupted.rect, region)
+    bad_in_region = np.zeros_like(bad_mask)
+    bad_in_region[cut] = bad_mask[cut]
     if bad_total != int(bad_in_region.sum()):
         raise RuntimeError("shell decomposition lost bad sites")
     admissible_check = check_average_bounds(g, base, region)
@@ -466,7 +500,7 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
     shell_check = check_shell_gaps(g, corrupted, result.window, result.shells, region)
     total_check = check_total_gap(g, corrupted, result.window, result.shells, region, cfg.n)
 
-    repaired_clean = not _region_bad_mask(result.window, sft, region).any()
+    repaired_clean = not bad_site_mask(result.window, sft)[0][cut].any()
     changed = corrupted.array != result.window.array
     locality_ok = not (changed & ~bad_in_region).any()
 

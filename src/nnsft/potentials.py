@@ -3,10 +3,13 @@
 The penalty potential of a nearest-neighbor SFT is -1 at a site whose
 rightward or upward pair is forbidden and 0 otherwise, so it vanishes
 exactly on admissible configurations and its value at a site depends
-only on the 3x3 patch there. PerturbedPotential.parts is the one
-evaluator of g = penalty + h: it takes a window and arrays of sites and
-returns the bad-site indicator and h there; value, birkhoff_sum and the
-level-set check are built on it.
+only on the 3x3 patch there. PerturbedPotential.patch_parts is the one
+evaluator of g = penalty + h: it takes the nine patch-symbol arrays of
+some sites, in PATCH_OFFSETS order, and returns the bad-site indicator
+and h there. PerturbedPotential.parts gathers those arrays from a window
+at arrays of sites, for value and the level-set check; region_patches
+cuts them from a window array as nine views, for birkhoff_sum and the
+harness's per-shell accounting, with no copy and no index gather.
 
 Perturbations are range-1: a sparse table of coefficients indexed by
 3x3 patches (row-major, top row first), every coefficient bounded by a
@@ -29,6 +32,7 @@ d(x, y) >= 1/2; hence Lip(h) <= 2*cap / (1/2) = 4*cap and
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +49,8 @@ PATCH_OFFSETS: tuple[Site, ...] = (
     (-1, 0), (0, 0), (1, 0),
     (-1, -1), (0, -1), (1, -1),
 )
-_CENTER = 4  # index of (0, 0) in PATCH_OFFSETS
+PATCH_CENTER = 4  # index of (0, 0) in PATCH_OFFSETS
+_UP, _RIGHT = 1, 5  # indices of (0, 1) and (1, 0)
 
 SEMINORM_ENUM_GUARD = 10_000
 
@@ -117,7 +122,7 @@ def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
     for k in range(0, n, chunk):
         block = pats[k : k + chunk]
         diff_any = (block[:, None, :] != pats[None, :, :]).any(axis=2)
-        center_diff = block[:, None, _CENTER] != pats[None, :, _CENTER]
+        center_diff = block[:, None, PATCH_CENTER] != pats[None, :, PATCH_CENTER]
         factor = np.where(center_diff, 1.0, 2.0)
         vals = np.abs(cs[k : k + chunk, None] - cs[None, :]) * factor
         vals[~diff_any] = 0.0
@@ -126,12 +131,12 @@ def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
     total_patterns = q**9
     if n < total_patterns:
         per_center = q**8
-        stored_per_center = Counter(int(p[_CENTER]) for p in pats)
+        stored_per_center = Counter(int(p[PATCH_CENTER]) for p in pats)
         for idx in range(n):
             cp = abs(float(cs[idx]))
             if cp == 0.0:
                 continue
-            center = int(pats[idx, _CENTER])
+            center = int(pats[idx, PATCH_CENTER])
             if per_center - stored_per_center[center] > 0:
                 # an absent pattern differing from this one only off-center
                 best = max(best, 2.0 * cp)
@@ -170,10 +175,29 @@ class PerturbedPotential:
             raise ValueError("potential has not been certified; call certify_norm_gap")
         return self.certified_norm_gap
 
+    def patch_parts(self, patch: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(bad, h) at sites given by their 3x3 patches: patch holds nine
+        symbol arrays of one shape, in PATCH_OFFSETS order, and the two
+        results have that shape. bad is the bad-site indicator, from the
+        forbidden-pair tables; h is the perturbation, looked up by 3x3
+        pattern code.
+        """
+        center = patch[PATCH_CENTER]
+        bad = self.sft.h_table[center, patch[_RIGHT]] | self.sft.v_table[center, patch[_UP]]
+        codes, vals = self._code_lookup
+        if not codes.size:
+            return bad, np.zeros(bad.shape)
+        q = self.sft.q
+        code = np.array(patch[8], dtype=np.int64)
+        for symbols in patch[7::-1]:  # Horner's rule, in place
+            code *= q
+            code += symbols
+        idx = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        return bad, np.where(codes[idx] == code, vals[idx], 0.0)
+
     def parts(self, w: Window, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        """(bad, h) at the sites (xs, ys) of w, two arrays of their
-        broadcast shape: the bad-site indicator, from the forbidden-pair
-        tables, and the perturbation, looked up by 3x3 pattern code.
+        """patch_parts at the sites (xs, ys) of w, two arrays of their
+        broadcast shape.
 
         Every site's 3x3 patch must be stored.
         """
@@ -186,17 +210,7 @@ class PerturbedPotential:
             raise ValueError("insufficient margin")
         width = rect.width
         at = r * width + c  # index of each site in the row-major array
-        center = flat[at]
-        bad = self.sft.h_table[center, flat[at + 1]] | self.sft.v_table[center, flat[at - width]]
-        codes, vals = self._code_lookup
-        if not codes.size:
-            return bad, np.zeros(bad.shape)
-        q = self.sft.q
-        code = np.zeros(bad.shape, dtype=np.int64)
-        for k, (dx, dy) in enumerate(PATCH_OFFSETS):
-            code += flat[at + dx - dy * width] * q**k
-        idx = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        return bad, np.where(codes[idx] == code, vals[idx], 0.0)
+        return self.patch_parts([flat[at + dx - dy * width] for dx, dy in PATCH_OFFSETS])
 
     def value(self, w: Window, xs, ys) -> np.ndarray:
         """g at the sites (xs, ys) of w: h minus the bad-site indicator."""
@@ -242,6 +256,20 @@ def _decode_pattern(code: int, q: int) -> Pattern:
     return tuple(out)
 
 
+def region_patches(a: np.ndarray, rect: Rect, region: Rect) -> list[np.ndarray]:
+    """The 3x3 patches of the region's sites in a 2D array over rect (row
+    0 the top row, as in a Window), as nine views of a in PATCH_OFFSETS
+    order, each of the region's shape with row 0 its top row.
+
+    The region inflated by one must fit in rect.
+    """
+    if not rect.contains_rect(region.inflate(1)):
+        raise ValueError("insufficient margin")
+    r0, c0 = rect.y1 - region.y1, region.x0 - rect.x0
+    h, w = region.height, region.width
+    return [a[r0 - dy : r0 - dy + h, c0 + dx : c0 + dx + w] for dx, dy in PATCH_OFFSETS]
+
+
 def birkhoff_sum(g: PerturbedPotential, w: Window, region: Rect) -> float:
     """Sum of g over every site of the region.
 
@@ -249,8 +277,7 @@ def birkhoff_sum(g: PerturbedPotential, w: Window, region: Rect) -> float:
     summand has its full 3x3 patch stored. The sum is minus the bad
     count plus the numpy sum of h in row-major order, top row first.
     """
-    ys, xs = np.mgrid[region.y1 : region.y0 - 1 : -1, region.x0 : region.x1 + 1]
-    bad, h = g.parts(w, xs.ravel(), ys.ravel())
+    bad, h = g.patch_parts(region_patches(w.array, w.rect, region))
     total = -float(bad.sum())
     if g.h.support_size:
         total += float(h.sum())

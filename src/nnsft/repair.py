@@ -27,6 +27,7 @@ stay clean because fills never create new forbidden pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class ShellDecomposition:
     i: int
     runs: dict[str, tuple[Run, ...]] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def total_bad(self) -> int:
         return sum(len(r) for side in SIDES for r in self.runs.get(side, ()))
 
@@ -216,7 +217,8 @@ class RepairResult:
     captured, holds the input window followed by the window after each
     shell (length len(shells) + 1). Only tests capture them: the window
     after shell i is the output on shells 0..i and the input elsewhere,
-    so check_shell_gaps replays it from the input and the output.
+    so check_shell_gaps needs only the input and the output, and
+    evaluates g at each site with its patch in four such states.
     """
 
     window: Window

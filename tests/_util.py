@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from nnsft import NnSft, Rect, Run, ShellDecomposition, Window, check_ssf
-from nnsft.entropy import ConvergenceError, EmptySubshiftError, StripEntropyResult
+from nnsft.entropy import TOL_FLOOR, ConvergenceError, EmptySubshiftError, StripEntropyResult
 from nnsft.sft import SsfResult, bad_site_mask
 
 
@@ -47,6 +47,18 @@ def random_ssf_sfts(
         if check_ssf(sft).ok:
             out.append(sft)
     return out
+
+
+def random_sft(rng: np.random.Generator, q_hi: int = 5) -> NnSft:
+    """Any SFT, fillable or not: 1..q_hi symbols and up to 2*q*q forbidden
+    pairs, each horizontal or vertical at random."""
+    q = int(rng.integers(1, q_hi + 1))
+    pairs = rng.integers(0, q, size=(int(rng.integers(0, 2 * q * q + 1)), 3)).tolist()
+    return NnSft(
+        q,
+        frozenset((a, b) for h, a, b in pairs if h % 2),
+        frozenset((a, b) for h, a, b in pairs if not h % 2),
+    )
 
 
 def pair_scan_bad_sites(w: Window, sft: NnSft) -> set[tuple[int, int]]:
@@ -234,8 +246,8 @@ def reference_repair(
 def reference_strip_entropy(
     sft: NnSft, m: int, tol: float = 1e-10, max_iter: int = 100_000
 ) -> StripEntropyResult:
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    if not TOL_FLOOR <= tol < math.inf:
+        raise ValueError("tol below the rounding floor or not finite")
     q = sft.q
     v_ok = ~sft.v_table
     mask = np.ones((q,) * m, dtype=bool)

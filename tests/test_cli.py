@@ -77,7 +77,7 @@ def test_input_errors_exit_2(tmp_path):
         # strip widths over 64 are refused before q**m is formed
         ("entropy", "--spec", "full:1", "--strip-width", "65"),
         ("entropy", "--spec", "hardsquare", "--strip-width", "100000"),
-        # a power iteration that cannot certify convergence
+        # a tolerance below the residual's rounding floor, refused before iterating
         ("entropy", "--spec", "hardsquare", "--strip-width", "4", "--tol", "1e-300"),
     ):
         res = run_cli(*args)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nnsft.entropy import (
     MAX_STRIP_WIDTH,
+    TOL_FLOOR,
     ConvergenceError,
     EmptySubshiftError,
     StripTransfer,
@@ -168,6 +169,20 @@ def test_state_guard():
         with pytest.raises(ValueError, match="strip width"):
             StripTransfer.build(sft, m)
     assert strip_entropy(full_shift(1), MAX_STRIP_WIDTH).value == 0.0
+
+
+def test_tolerance_floor_and_convergence_error():
+    # a tolerance below the residual's rounding floor is refused before iterating
+    for tol in (TOL_FLOOR / 2, 1e-300, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rounding floor"):
+            strip_entropy(hard_square(), 4, tol=tol)
+    # the floor itself is accepted; a run too short to certify raises
+    with pytest.raises(ConvergenceError, match="3 steps"):
+        strip_entropy(hard_square(), 4, tol=TOL_FLOOR, max_iter=3)
+    # and on wider strips a run at the floor certifies
+    for sft, m in ((hard_square(), 12), (checkerboard(3), 7)):
+        at_floor = strip_entropy(sft, m, tol=TOL_FLOOR, max_iter=1000)
+        assert at_floor.value == pytest.approx(strip_entropy(sft, m).value, abs=1e-9)
 
 
 def test_determinism():

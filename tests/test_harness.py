@@ -25,7 +25,14 @@ from nnsft.potentials import PerturbedPotential, birkhoff_sum, sample_perturbati
 from nnsft.repair import RepairResult, repair
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square, violations
 
-from _util import pair_scan_bad_sites, random_ssf_sfts, reference_shell_rows
+from _util import (
+    pair_scan_bad_sites,
+    random_sft,
+    random_ssf_sfts,
+    random_window,
+    reference_decompose,
+    reference_shell_rows,
+)
 
 HS = hard_square()
 
@@ -166,6 +173,39 @@ def test_shell_gaps_replay_matches_reference(seed, n, margin, rate, support, rul
     region = Rect.centered(n + 1 - margin)
     rep = check_shell_gaps(g, w, res.window, res.shells, region)
     expected = reference_shell_rows(g, res.shells, res.intermediates, region)
+    assert [(row.size, row.pending, row.observed) for row in rep.rows] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 8),
+    edit_rate=st.floats(0.0, 1.0),
+    support=st.integers(0, 60),
+)
+def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, support):
+    # any output against any input, on any SFT and any region that fits:
+    # the window after shell i is where(norm <= i, output, input), and
+    # nothing is assumed of repair (edits land anywhere, off the box of
+    # radius n too, and need not remove a bad site)
+    rng = np.random.default_rng(seed)
+    sft = random_sft(rng)
+    q = sft.q
+    rect = Rect.centered(n + 2)
+    w = random_window(rect, q, rng)
+    edit = rng.random(w.array.shape) < edit_rate
+    out = Window(rect, np.where(edit, rng.integers(0, q, w.array.shape), w.array))
+    x0, x1 = sorted(rng.integers(-n - 1, n + 2, size=2).tolist())
+    y0, y1 = sorted(rng.integers(-n - 1, n + 2, size=2).tolist())
+    region = Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+    g = PerturbedPotential.build(sft, sample_perturbation(0.01, min(support, q**9), q, rng))
+    shells = [reference_decompose(w, sft, i) for i in range(n + 1)]
+    rep = check_shell_gaps(g, w, out, shells, region)
+    ys = rect.y1 - np.arange(rect.height)
+    xs = rect.x0 + np.arange(rect.width)
+    norm = np.maximum.outer(np.abs(ys), np.abs(xs))
+    windows = [w] + [Window(rect, np.where(norm <= i, out.array, w.array)) for i in range(n + 1)]
+    expected = reference_shell_rows(g, shells, windows, region)
     assert [(row.size, row.pending, row.observed) for row in rep.rows] == expected
 
 

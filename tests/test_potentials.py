@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnsft.lattice import Rect, Window
 from nnsft.potentials import (
@@ -21,7 +23,7 @@ from nnsft.potentials import (
 )
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square
 
-from _util import potential_oracle, random_ssf_sfts, random_window
+from _util import potential_oracle, random_sft, random_ssf_sfts, random_window
 
 HS = hard_square()
 
@@ -199,6 +201,30 @@ def test_birkhoff_matches_sitewise_eval():
             region = Rect.centered(3)
             direct = sum(float(g.value(w, x, y)) for x, y in region.sites())
             assert birkhoff_sum(g, w, region) == pytest.approx(direct, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), support=st.integers(0, 300))
+def test_birkhoff_sum_matches_gathered_parts(seed, support):
+    # birkhoff_sum reads the region through nine slices of the window; its
+    # value must be, to the bit, minus the bad count plus numpy's sum of h
+    # over the region's sites gathered row-major, top row first
+    rng = np.random.default_rng(seed)
+    sft = random_sft(rng)
+    q = sft.q
+    width, height = rng.integers(3, 40, size=2).tolist()
+    rect = Rect(int(rng.integers(-20, 20)), int(rng.integers(-20, 20)), width, height)
+    w = random_window(rect, q, rng)
+    x0, x1 = sorted(rng.integers(rect.x0 + 1, rect.x1, size=2).tolist())
+    y0, y1 = sorted(rng.integers(rect.y0 + 1, rect.y1, size=2).tolist())
+    region = Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+    g = _g(sft, sample_perturbation(1 / 384, min(support, q**9), q, rng))
+    ys, xs = np.mgrid[region.y1 : region.y0 - 1 : -1, region.x0 : region.x1 + 1]
+    bad, h = g.parts(w, xs.ravel(), ys.ravel())
+    expected = -float(bad.sum())
+    if g.h.support_size:
+        expected += float(h.sum())
+    assert repr(birkhoff_sum(g, w, region)) == repr(expected)
 
 
 def test_birkhoff_additivity():
