@@ -17,16 +17,8 @@ certified norm gap of g (never the looser nominal value):
   but yield no improvement, so the bound taken over the full |S_i| is
   genuinely violated on a few percent of random trials; the harness
   records that literal margin without asserting it. The per-shell sums
-  come from the repair's input and output alone: repair writes each
-  site of shell i once, while it repairs shell i, so the window before
-  shell i equals the output on shells 0..i-1 and the input elsewhere.
-  A site of norm k has a 3x3 patch spanning norms k-1..k+1, so its g
-  moves only while shells k-1, k and k+1 are repaired, and four passes
-  of the evaluator over the region (input; patch repaired below norm
-  k; patch repaired up to norm k; output) give every shell's terms.
-  Each shell sums its terms with builtin sum in sorted (x, y) order,
-  the order of a site-by-site replay, so no intermediate window is
-  built;
+  come from the repair's input, its output and its shell sizes alone
+  (see check_shell_gaps), so no intermediate window is built;
 * total improvement: summed over shells and with a dyadic tail
   allowance 2*(8N+8) for the influence of the first unrepaired shell,
   the window-averaged improvement is at least
@@ -56,7 +48,7 @@ from .potentials import (
     region_patches,
     sample_perturbation,
 )
-from .repair import ShellDecomposition, repair
+from .repair import repair
 from .sft import SOUTH, WEST, NnSft, bad_site_mask, violations
 
 DEFAULT_EPSILON = 1.0 / 64.0
@@ -275,33 +267,35 @@ def check_shell_gaps(
     g: PerturbedPotential,
     corrupted: Window,
     repaired: Window,
-    shells: list[ShellDecomposition],
+    shell_sizes: list[int],
     region: Rect,
 ) -> ShellGapReport:
     """Require each shell's repair to improve the windowed sum by at
     least (1 - 32*gap)*pending_i - 112*gap, pending_i counting the
     shell's sites still bad when its turn comes.
 
-    shells is repair's decomposition of corrupted and repaired its
-    output. The window
-    before shell i is the output at Chebyshev norms < i and the input
-    elsewhere (see the module docstring), so at a site of norm k, whose
-    3x3 patch spans norms k-1..k+1, g takes four values: on the input
-    (C), with the patch repaired at norms < k (A) and at norms <= k (B),
-    and on the output (R). Shell k-1 gains A - C there, shell k B - A
-    and shell k+1 R - B, and no other shell moves it. So four passes of
-    the evaluator over the hull of the region and the last shell's box
-    give every term. A shell's observed gain sums its nonzero terms at
-    region sites with builtin sum, site by site in sorted (x, y) order;
-    pending_i counts the sites of the whole shell i that are bad in the
-    input and in state A.
+    repaired is repair's output on corrupted and shell_sizes[i] the
+    number of bad sites of corrupted on shell i (RepairResult.shell_sizes).
+    Repair writes each site of shell i once, while it repairs shell i,
+    so the window before shell i is the output at Chebyshev norms < i
+    and the input elsewhere. At a site of norm k, whose 3x3 patch spans
+    norms k-1..k+1, g thus takes four values: on the input (C), with
+    the patch repaired at norms < k (A) and at norms <= k (B), and on
+    the output (R). Shell k-1 gains A - C there, shell k B - A and
+    shell k+1 R - B, and no other shell moves it. So four passes of the
+    evaluator over the hull of the region and the last shell's box give
+    every term. A shell's observed gain sums its nonzero terms at
+    region sites with builtin sum, site by site in sorted (x, y) order,
+    the order of a site-by-site replay; pending_i counts the sites of
+    the whole shell i that are bad in the input and in state A.
     """
     rect = corrupted.rect
     if repaired.rect != rect:
         raise ValueError("mismatched domains")
+    n_shells = len(shell_sizes)
     hull = region
-    if shells:
-        box = Rect.centered(len(shells) - 1)
+    if n_shells:
+        box = Rect.centered(n_shells - 1)
         x0, y0 = min(region.x0, box.x0), min(region.y0, box.y0)
         hull = Rect(x0, y0, max(region.x1, box.x1) - x0 + 1, max(region.y1, box.y1) - y0 + 1)
     ys = rect.y1 - np.arange(rect.height)
@@ -330,11 +324,11 @@ def check_shell_gaps(
         if shift == -2:  # the input's bad sites; the hull's are all evaluable
             bad_in = bad
         elif shift == -1:  # at a site of norm k, A is the window before shell k's repair
-            still_bad = bad_in & bad & (norm < len(shells))
-            pending = np.bincount(norm[still_bad], minlength=len(shells)).tolist()
+            still_bad = bad_in & bad & (norm < n_shells)
+            pending = np.bincount(norm[still_bad], minlength=n_shells).tolist()
         if previous is not None:  # shell k + shift gains value - previous at norm k
             term = value - previous
-            keep = inside & (term != 0) & (norm >= -shift) & (norm < len(shells) - shift)
+            keep = inside & (term != 0) & (norm >= -shift) & (norm < n_shells - shift)
             at = np.flatnonzero(keep)
             # key (shell, x, y): x-major, then y ascending, within a shell
             row, col = np.divmod(at, width)
@@ -344,7 +338,7 @@ def check_shell_gaps(
     key = np.concatenate(keys)
     order = np.argsort(key)
     sorted_terms = np.concatenate(terms)[order].tolist()
-    bounds = np.searchsorted(key[order], np.arange(len(shells) + 1) * hull.area).tolist()
+    bounds = np.searchsorted(key[order], np.arange(n_shells + 1) * hull.area).tolist()
 
     gap = g.gap
     site_coeff = 1.0 - SHELL_SITE_COEFF * gap
@@ -353,14 +347,14 @@ def check_shell_gaps(
     min_margin = math.inf
     min_literal = math.inf
     ok = True
-    for i, dec in enumerate(shells):
+    for i, size in enumerate(shell_sizes):
         row = ShellGapRow(
             i=i,
-            size=dec.total_bad,
+            size=size,
             pending=pending[i],
             observed=sum(sorted_terms[bounds[i] : bounds[i + 1]], 0.0),
             required=site_coeff * pending[i] - slack,
-            required_literal=site_coeff * dec.total_bad - slack,
+            required_literal=site_coeff * size - slack,
         )
         min_margin = min(min_margin, row.margin)
         min_literal = min(min_literal, row.literal_margin)
@@ -394,12 +388,12 @@ def check_total_gap(
     g: PerturbedPotential,
     original: Window,
     repaired: Window,
-    shells: list[ShellDecomposition],
+    shell_sizes: list[int],
     region: Rect,
     n: int,
 ) -> TotalBoundReport:
     gap = g.gap
-    bad_total = sum(dec.total_bad for dec in shells)
+    bad_total = sum(shell_sizes)
     area = region.area
     total_gap = birkhoff_sum(g, original, region) - birkhoff_sum(g, repaired, region)
     overhead = SHELL_SLACK_COEFF * gap * (n + 1) + tail_slack(n)
@@ -497,8 +491,8 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
         raise RuntimeError("shell decomposition lost bad sites")
     admissible_check = check_average_bounds(g, base, region)
     corrupted_check = check_average_bounds(g, corrupted, region)
-    shell_check = check_shell_gaps(g, corrupted, result.window, result.shells, region)
-    total_check = check_total_gap(g, corrupted, result.window, result.shells, region, cfg.n)
+    shell_check = check_shell_gaps(g, corrupted, result.window, result.shell_sizes, region)
+    total_check = check_total_gap(g, corrupted, result.window, result.shell_sizes, region, cfg.n)
 
     repaired_clean = not bad_site_mask(result.window, sft)[0][cut].any()
     changed = corrupted.array != result.window.array

@@ -1,27 +1,22 @@
 """Shell-by-shell repair of corrupted windows over an SSF SFT.
 
-Bad sites of the input window are grouped by Chebyshev shell. Within
-shell i they split into four sides: top (y = i), bottom (y = -i), right
-(x = i, |y| < i) and left (x = -i, |y| < i); the four corner sites
-belong to the top or bottom side. Each side is a slice of the input's
-bad-site mask and decomposes into maximal contiguous runs of bad sites.
-
-A run is rewritten by a sweep from its alpha end to its beta end
-(left to right for horizontal runs, bottom to top for vertical ones).
-At each site the sweep ANDs the fill-table masks (NnSft.fill_table) of
-its four current neighbors, giving the symbols that fit all four, and
-writes the lowest of them (rule "smallest") or one drawn uniformly
+Shell i holds the sites of Chebyshev norm i, in four sides: top (y = i),
+bottom (y = -i), right (x = i, |y| < i) and left (x = -i, |y| < i); the
+corners belong to top or bottom. Repair rewrites the input window's
+bad sites on shells 0..n in the order of one sort: shells outward,
+sides top, bottom, right, left, then by ascending x (top, bottom) or y
+(right, left). At each site the sweep ANDs the fill-table masks
+(NnSft.fill_table) of its four current neighbors and writes the lowest
+symbol that fits all four (rule "smallest") or one drawn uniformly
 among them (rule "random"); single-site fillability guarantees the AND
-is nonzero. The site just swept is a neighbor of the next, so every
-adjacent pair touching the run is validated by the later of its two
-endpoints and the patched window has no violation involving any run
-site.
+is nonzero. Every adjacent pair touching a rewritten site is validated
+by the later of its two endpoints, so fills create no forbidden pair
+and the bad sites need no recomputing between shells.
 
-Shells are processed outward, sides in top, bottom, right, left order,
-runs in their side order, each fill seeing the partially repaired
-window. The shells themselves are always computed from the window the
-repair started from, not recomputed between shells; completed radii
-stay clean because fills never create new forbidden pairs.
+A side's bad sites form maximal runs (Run), each swept from its alpha
+end. Runs do not change what is written: they exist for inspection
+(RepairResult.shells, cut from the same sort) and for filling one
+segment (fill_segment).
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import Rect, Site, SparsePatch, Window
-from .sft import NnSft, bad_site_mask
+from .sft import NnSft, _check_symbols, bad_site_mask
 
 SIDES = ("top", "bottom", "right", "left")
 
@@ -113,33 +108,37 @@ class ShellDecomposition:
         return all(not self.runs.get(side) for side in SIDES)
 
 
-def _runs(side: str, i: int, line: np.ndarray, first: int) -> tuple[Run, ...]:
-    """Maximal runs of True in a side's slice of the bad-site mask;
-    line[k] is the site at coordinate first + k."""
-    coords = line.nonzero()[0]
-    if not coords.size:
-        return ()
-    cut = np.flatnonzero(np.diff(coords) != 1).tolist()
-    c = (coords + first).tolist()
-    alphas = [c[0]] + [c[k + 1] for k in cut]
-    betas = [c[k] for k in cut] + [c[-1]]
-    return tuple(Run(side, i, a, b) for a, b in zip(alphas, betas))
+def _sweep_order(rect: Rect, mask: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The bad sites of the box of radius n in sweep order: their flat
+    indices into the window's array, shells, sides (indices into SIDES)
+    and coordinates along the side."""
+    # the box's top left site is array row top, column left
+    top, left, box = rect.y1 - n, -n - rect.x0, 2 * n + 1
+    at = np.flatnonzero(mask[top : top + box, left : left + box])
+    row, col = np.divmod(at, box)
+    x, y = col - n, n - row
+    shell = np.maximum(np.abs(x), np.abs(y))
+    # corners and the origin go to top or bottom
+    side = np.where(y == shell, 0, np.where(y == -shell, 1, np.where(x == shell, 2, 3)))
+    along = np.where(side < 2, x, y)
+    order = np.argsort((shell * 4 + side) * box + along + n)
+    return ((row + top) * rect.width + col + left)[order], shell[order], side[order], along[order]
 
 
-def _decompose_from_mask(rect: Rect, mask: np.ndarray, i: int) -> ShellDecomposition:
-    # array row of y is rect.y1 - y, column of x is x - rect.x0
-    r0, c0 = rect.y1, -rect.x0
-    if i == 0:
-        runs = {"top": (Run("top", 0, 0, 0),)} if mask[r0, c0] else {}
-        return ShellDecomposition(0, runs)
-    sides = {
-        "top": _runs("top", i, mask[r0 - i, c0 - i : c0 + i + 1], -i),
-        "bottom": _runs("bottom", i, mask[r0 + i, c0 - i : c0 + i + 1], -i),
-        # rows run downward, so y = -i + 1 .. i - 1 reads the column reversed
-        "right": _runs("right", i, mask[r0 + i - 1 : r0 - i : -1, c0 + i], -i + 1),
-        "left": _runs("left", i, mask[r0 + i - 1 : r0 - i : -1, c0 - i], -i + 1),
-    }
-    return ShellDecomposition(i, {side: runs for side, runs in sides.items() if runs})
+def _decompose(
+    n: int, shell: np.ndarray, side: np.ndarray, along: np.ndarray
+) -> list[ShellDecomposition]:
+    """Shells 0..n split into runs, from their bad sites' shells, sides
+    and coordinates along the side, in sweep order."""
+    # a run starts where the shell or the side changes or the coordinate skips
+    new_side = np.diff(shell * 4 + side, prepend=-1) != 0
+    starts = np.flatnonzero(new_side | (np.diff(along, prepend=0) != 1))
+    lengths = np.diff(starts, append=len(shell))
+    runs: list[dict[str, list[Run]]] = [{} for _ in range(n + 1)]
+    firsts = (v.tolist() for v in (shell[starts], side[starts], along[starts], lengths))
+    for i, k, a, m in zip(*firsts):
+        runs[i].setdefault(SIDES[k], []).append(Run(SIDES[k], i, a, a + m - 1))
+    return [ShellDecomposition(i, {k: tuple(v) for k, v in d.items()}) for i, d in enumerate(runs)]
 
 
 def _check_rule(rule: str, rng: np.random.Generator | None) -> None:
@@ -149,42 +148,36 @@ def _check_rule(rule: str, rng: np.random.Generator | None) -> None:
         raise ValueError("fill rule 'random' needs a random generator")
 
 
-def _fill_run(
-    arr: np.ndarray,
+def _sweep(
+    buf: bytearray,
     rect: Rect,
     table: list[list[int]],
-    run: Run,
+    sites: list[int],
     rule: str,
     rng: np.random.Generator | None,
-) -> list[int]:
-    """Sweep the run from its alpha end, writing at each site the lowest
-    compatible symbol (rule "smallest") or one drawn uniformly among the
-    compatible ones (rule "random").
-
-    table is the SFT's fill table as lists: the symbols that fit a site
-    are the AND of its four current neighbors' masks. Mutates arr in
-    place and returns the symbols written, in sweep order. Callers
-    guarantee every site and its four neighbors are inside rect.
+) -> None:
+    """Rewrite the sites, flat indices into buf (rect's array raveled
+    row-major, one byte per symbol), in order. Each gets the lowest
+    symbol that fits its four current neighbors (rule "smallest") or
+    one drawn uniformly among them (rule "random"); table is the fill
+    table as lists. Callers guarantee that every site and its four
+    neighbors are inside rect.
     """
     north, south, east, west = table
-    x0, y1 = rect.x0, rect.y1
-    out: list[int] = []
-    for x, y in run.sites():
-        r, c = y1 - y, x - x0
-        left, right, down, up = arr[r, c - 1], arr[r, c + 1], arr[r + 1, c], arr[r - 1, c]
-        m = west[left] & east[right] & south[down] & north[up]
+    width = rect.width
+    for k in sites:
+        m = west[buf[k - 1]] & east[buf[k + 1]] & south[buf[k + width]] & north[buf[k - width]]
         if not m:
+            r, c = divmod(k, width)
             raise RuntimeError(
-                f"SSF contract violated: no symbol fits at {(x, y)} "
-                f"against neighbors (left={left}, right={right}, down={down}, up={up})"
+                f"SSF contract violated: no symbol fits at {(rect.x0 + c, rect.y1 - r)} "
+                f"against neighbors (left={buf[k - 1]}, right={buf[k + 1]}, "
+                f"down={buf[k + width]}, up={buf[k - width]})"
             )
         if rule == "random":
             for _ in range(int(rng.integers(m.bit_count()))):
                 m &= m - 1  # drop the lowest symbol that fits
-        a = (m & -m).bit_length() - 1
-        arr[r, c] = a
-        out.append(a)
-    return out
+        buf[k] = (m & -m).bit_length() - 1
 
 
 def fill_segment(
@@ -198,36 +191,41 @@ def fill_segment(
     window has no violation involving any run site."""
     _require_ssf(sft)
     sites = run.sites()
-    for s in sites:
-        x, y = s
-        for t in ((x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if not w.rect.contains(t):
-                raise ValueError("run and its boundary must lie inside the window domain")
+    (xa, ya), (xb, yb) = sites[0], sites[-1]
+    # the rect holds the run's neighbors exactly when it holds their bounding box
+    if not w.rect.contains_rect(Rect(xa, ya, xb - xa + 1, yb - ya + 1).inflate(1)):
+        raise ValueError("run and its boundary must lie inside the window domain")
     _check_rule(rule, rng)
-    arr = w.array.copy()
-    return dict(zip(sites, _fill_run(arr, w.rect, sft.fill_table.tolist(), run, rule, rng)))
+    _check_symbols(w, sft)
+    rect = w.rect
+    flat = [(rect.y1 - y) * rect.width + x - rect.x0 for x, y in sites]
+    buf = bytearray(w.array.astype(np.uint8, order="C"))
+    _sweep(buf, rect, sft.fill_table.tolist(), flat, rule, rng)
+    return {s: buf[k] for s, k in zip(sites, flat)}
 
 
 @dataclass
 class RepairResult:
-    """Outcome of a full repair pass.
-
-    window is the repaired window; shells[i] is the decomposition of
-    shell i computed from the input window; intermediates, when
-    captured, holds the input window followed by the window after each
-    shell (length len(shells) + 1). Only tests capture them: the window
-    after shell i is the output on shells 0..i and the input elsewhere,
-    so check_shell_gaps needs only the input and the output, and
-    evaluates g at each site with its patch in four such states.
-    """
+    """Outcome of a full repair pass: the repaired window and, for each
+    shell i, the number of the input's bad sites on it, all rewritten
+    while shell i was repaired. sweep holds the shell, side and
+    coordinate along the side of each rewritten site, in sweep order;
+    shells cuts each shell's runs from it on first use (for tests and
+    the benchmark's tracer). intermediates, captured only by tests,
+    holds the input followed by the window after each shell."""
 
     window: Window
-    shells: list[ShellDecomposition]
+    shell_sizes: list[int]
     intermediates: list[Window]
+    sweep: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def total_bad(self) -> int:
-        return sum(d.total_bad for d in self.shells)
+        return sum(self.shell_sizes)
+
+    @cached_property
+    def shells(self) -> list[ShellDecomposition]:
+        return _decompose(len(self.shell_sizes) - 1, *self.sweep)
 
 
 def repair(
@@ -245,22 +243,26 @@ def repair(
     violation with both endpoints inside the box of radius n.
     """
     _require_ssf(sft)
-    if not w.rect.contains_rect(Rect.centered(n + 1)):
+    rect = w.rect
+    if not rect.contains_rect(Rect.centered(n + 1)):
         raise ValueError("insufficient margin")
     _check_rule(rule, rng)
     mask, _ = bad_site_mask(w, sft)
-    shells = [_decompose_from_mask(w.rect, mask, i) for i in range(n + 1)]
+    sites, *sweep = _sweep_order(rect, mask, n)
+    sizes = np.bincount(sweep[0], minlength=n + 1).tolist()
     table = sft.fill_table.tolist()
-    arr = w.array.copy()
-    intermediates: list[Window] = []
-    if keep_intermediates:
-        intermediates.append(w)
-    for dec in shells:
-        for run in dec.iter_runs():
-            _fill_run(arr, w.rect, table, run, rule, rng)
+    # symbols fit a byte: bad_site_mask checked they are below q <= 64
+    buf = bytearray(w.array.astype(np.uint8, order="C"))
+    intermediates = [w] if keep_intermediates else []
+    start = 0
+    for size in sizes:
+        _sweep(buf, rect, table, sites[start : start + size].tolist(), rule, rng)
+        start += size
         if keep_intermediates:
-            intermediates.append(Window(w.rect, arr.copy(), _copy=False))
-    return RepairResult(Window(w.rect, arr, _copy=False), shells, intermediates)
+            intermediates.append(Window(rect, np.frombuffer(buf, np.uint8).reshape(mask.shape)))
+    # converting to int64 copies, so the window shares no memory with buf
+    out = Window(rect, np.frombuffer(buf, np.uint8).reshape(mask.shape), _copy=False)
+    return RepairResult(out, sizes, intermediates, tuple(sweep))
 
 
 def changed_sites(before: Window, after: Window) -> set[Site]:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnsft import harness
+from nnsft.cli import main
 from nnsft.harness import (
     WINDOW_SITE_GUARD,
     TrialConfig,
@@ -20,7 +22,7 @@ from nnsft.harness import (
     tail_slack,
     trial_seed,
 )
-from nnsft.lattice import Rect, Window
+from nnsft.lattice import Rect, Window, render_window
 from nnsft.potentials import PerturbedPotential, birkhoff_sum, sample_perturbation, zero_perturbation
 from nnsft.repair import RepairResult, repair
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square, violations
@@ -123,7 +125,7 @@ def test_shell_gaps_zero_perturbation_integer_identity():
     region = Rect.centered(10)
     w = corrupt(sample_admissible(HS, 12, rng), 2, 0.4, rng)
     res = repair(w, HS, 10, keep_intermediates=True)
-    rep = check_shell_gaps(g, w, res.window, res.shells, region)
+    rep = check_shell_gaps(g, w, res.window, res.shell_sizes, region)
     assert rep.ok
     for row, prev, cur in zip(rep.rows, res.intermediates, res.intermediates[1:]):
         before = sum(1 for s in bad_sites(prev, HS).sites if region.contains(s))
@@ -136,7 +138,7 @@ def test_shell_gaps_empty_shells():
     g = PerturbedPotential.build(HS, sample_perturbation(1 / 384, 8, 2, seed=1))
     w = Window.filled(Rect.centered(6), 0)
     res = repair(w, HS, 4)
-    rep = check_shell_gaps(g, w, res.window, res.shells, Rect.centered(4))
+    rep = check_shell_gaps(g, w, res.window, res.shell_sizes, Rect.centered(4))
     assert rep.ok
     for row in rep.rows:
         assert row.observed == 0.0
@@ -149,9 +151,9 @@ def test_shell_gaps_mismatched_domains():
     w = Window.filled(Rect.centered(6), 0)
     res = repair(w, HS, 4)
     with pytest.raises(ValueError, match="domains"):
-        check_shell_gaps(g, w, res.window.translate((1, 0)), res.shells, Rect.centered(4))
+        check_shell_gaps(g, w, res.window.translate((1, 0)), res.shell_sizes, Rect.centered(4))
     with pytest.raises(ValueError, match="insufficient margin"):
-        check_shell_gaps(g, w, res.window, res.shells, Rect.centered(6))
+        check_shell_gaps(g, w, res.window, res.shell_sizes, Rect.centered(6))
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,7 +173,7 @@ def test_shell_gaps_replay_matches_reference(seed, n, margin, rate, support, rul
     g = PerturbedPotential.build(sft, sample_perturbation(0.01, support, sft.q, rng))
     res = repair(w, sft, n, rule=rule, rng=rng, keep_intermediates=True)
     region = Rect.centered(n + 1 - margin)
-    rep = check_shell_gaps(g, w, res.window, res.shells, region)
+    rep = check_shell_gaps(g, w, res.window, res.shell_sizes, region)
     expected = reference_shell_rows(g, res.shells, res.intermediates, region)
     assert [(row.size, row.pending, row.observed) for row in rep.rows] == expected
 
@@ -200,7 +202,7 @@ def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, suppo
     region = Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
     g = PerturbedPotential.build(sft, sample_perturbation(0.01, min(support, q**9), q, rng))
     shells = [reference_decompose(w, sft, i) for i in range(n + 1)]
-    rep = check_shell_gaps(g, w, out, shells, region)
+    rep = check_shell_gaps(g, w, out, [dec.total_bad for dec in shells], region)
     ys = rect.y1 - np.arange(rect.height)
     xs = rect.x0 + np.arange(rect.width)
     norm = np.maximum.outer(np.abs(ys), np.abs(xs))
@@ -213,7 +215,7 @@ def test_total_gap_admissible():
     g = _zero_g()
     w = Window.filled(Rect.centered(6), 0)
     res = repair(w, HS, 4)
-    rep = check_total_gap(g, w, res.window, res.shells, Rect.centered(4), 4)
+    rep = check_total_gap(g, w, res.window, res.shell_sizes, Rect.centered(4), 4)
     assert rep.total_gap == 0.0
     assert rep.raw_ok and rep.normalized_ok and rep.vacuous  # required < 0 at tiny N
 
@@ -268,12 +270,35 @@ def test_run_trial_locality_failures(monkeypatch):
             x, y = pick(w)
             arr = res.window.array.copy()
             arr[w.rect.y1 - y, x - w.rect.x0] ^= 1  # repair left this site as it was
-            return RepairResult(Window(w.rect, arr), res.shells, res.intermediates)
+            out = Window(w.rect, arr)
+            return RepairResult(out, res.shell_sizes, res.intermediates, res.sweep)
 
         monkeypatch.setattr(harness, "repair", tampered)
         r = run_trial(cfg, 0)
         assert not r.locality_ok, pick.__name__
         assert not r.all_pass, pick.__name__
+
+
+def test_trial_and_cli_repair_build_no_decomposition(monkeypatch, tmp_path, capsys):
+    # shells are built only on request: a trial and `nnsft repair`
+    # take the shell sizes from the sweep
+    def refuse(*args):
+        raise AssertionError("built a shell decomposition")
+
+    # the package's `repair` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("nnsft.repair"), "_decompose", refuse)
+    assert run_trial(TrialConfig(sft=HS, n=12, seed=3), 0).all_pass
+    rng = np.random.default_rng(6)
+    w = corrupt(sample_admissible(HS, 9, rng), 2, 0.4, rng)
+    path = tmp_path / "w.txt"
+    path.write_text(render_window(w))
+    out = tmp_path / "o.txt"
+    assert main(["repair", "--spec", "hardsquare", "--window", str(path), "--out", str(out)]) == 0
+    bad_total = repair(w, HS, 8).total_bad
+    assert bad_total > 0
+    assert capsys.readouterr().out.startswith(f"repaired N=8 bad_total={bad_total} ")
+    with pytest.raises(AssertionError, match="decomposition"):
+        repair(w, HS, 8).shells
 
 
 def test_run_experiment_determinism_and_jobs():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nnsft.lattice import Rect, Window
-from nnsft.repair import Run, changed_sites, fill_segment, repair
-from nnsft.sft import bad_sites, checkerboard, hard_square, violations
+from nnsft.repair import Run, _sweep, changed_sites, fill_segment, repair
+from nnsft.sft import SymbolRangeError, bad_sites, checkerboard, hard_square, violations
 from nnsft.harness import corrupt, sample_admissible
 
 from _util import patch_admissible_around, random_ssf_sfts, random_window
@@ -116,6 +116,29 @@ def test_fill_segment_errors():
         fill_segment(w, hs, Run("top", 0, 0, 0), rule="random")
     with pytest.raises(ValueError, match="unknown fill rule"):
         fill_segment(w, hs, Run("top", 0, 0, 0), rule="greedy")
+    # 2 would read the fill table's "no neighbor" column; 7 is past its end
+    for symbol in (2, 7):
+        with pytest.raises(SymbolRangeError, match=f"symbol {symbol} at \\(-1, 0\\)"):
+            fill_segment(w.with_patch({(-1, 0): symbol}), hs, Run("top", 0, 0, 0))
+
+
+def test_sweep_reports_ssf_contract_violation():
+    # site (1, 1) between four distinct neighbors, under a fill table
+    # whose masks AND to zero
+    w = Window.filled(Rect.centered(2), 0).with_patch(
+        {(0, 1): 1, (2, 1): 2, (1, 0): 3, (1, 2): 4}
+    )
+    rect = w.rect
+    buf = bytearray(w.array.astype(np.uint8))
+    dead = [[0] * 5] * 4
+    at = (rect.y1 - 1) * rect.width + 1 - rect.x0
+    with pytest.raises(
+        RuntimeError,
+        match=r"SSF contract violated: no symbol fits at \(1, 1\) "
+        r"against neighbors \(left=1, right=2, down=3, up=4\)",
+    ):
+        _sweep(buf, rect, dead, [at], "smallest", None)
+    assert bytes(buf) == bytes(w.array.astype(np.uint8))  # nothing written
 
 
 def test_fill_segment_random_instances_pass_oracle():
