@@ -49,7 +49,7 @@ from .potentials import (
     sample_perturbation,
 )
 from .repair import repair
-from .sft import SOUTH, WEST, NnSft, bad_site_mask, violations
+from .sft import NnSft, bad_site_mask, violations
 
 DEFAULT_EPSILON = 1.0 / 64.0
 DEFAULT_CAP = 1.0 / 384.0
@@ -114,16 +114,15 @@ def sample_admissible(sft: NnSft, radius: int, rng: np.random.Generator) -> Wind
     """A locally admissible window on the box of the given radius.
 
     Each site draws uniformly among the symbols compatible with its left
-    and down neighbors (a missing neighbor allows every symbol), the
-    AND of two fill-table masks; SSF guarantees the mask is nonempty.
-    One uniform draw per site, indexed in raster order from the bottom
-    row up, picks the compatible symbol of rank int(draw * count),
-    counting from 0 in increasing order. A site depends only on its left
-    and down neighbors, so the sites are placed one anti-diagonal at a
-    time, each diagonal in one vectorized step that reads the draws at
-    the sites' raster positions: the window is the one a raster sweep
-    with the same draws would produce. The output is verified
-    violation-free.
+    and down neighbors (a missing neighbor allows every symbol); SSF
+    guarantees there is one. One uniform draw per site, indexed in
+    raster order from the bottom row up, picks the compatible symbol of
+    rank int(draw * count), counting from 0 in increasing order, by one
+    lookup in NnSft.pick_table. A site depends only on its left and down
+    neighbors, so the sites are placed one anti-diagonal at a time, each
+    diagonal in one vectorized step that reads the draws at the sites'
+    raster positions: the window is the one a raster sweep with the same
+    draws would produce. The output is verified violation-free.
 
     Windows of more than WINDOW_SITE_GUARD sites are refused before
     anything is allocated.
@@ -139,12 +138,11 @@ def sample_admissible(sft: NnSft, radius: int, rng: np.random.Generator) -> Wind
     if not sft.ssf.ok:
         raise ValueError("sampling requires a single-site fillable SFT")
     q = sft.q
-    west, south = sft.fill_table[WEST], sft.fill_table[SOUTH]
-    shifts = np.arange(q, dtype=np.uint64)[:, None]
-    one = np.uint64(1)
+    table, count = sft.pick_table
     draws = rng.random(side * side)
-    # bottom row first, as the draws; row 0 and column 0 hold q, "no neighbor"
-    padded = np.full((side + 1, side + 1), q, dtype=np.int64)
+    # bottom row first, as the draws; row 0 and column 0 hold q, "no neighbor";
+    # int32, as an int64 grid raised the sample command's peak RSS by 4 MB
+    padded = np.full((side + 1, side + 1), q, dtype=np.int32)
     flat = padded.ravel()
     step = max(side - 1, 1)  # a slice step; radius 0 has a single site
     for d in range(2 * side - 1):
@@ -156,14 +154,14 @@ def sample_admissible(sft: NnSft, radius: int, rng: np.random.Generator) -> Wind
         stop = start + n * side
         left = flat[start - 1 : stop - 1 : side]
         down = flat[start - side - 1 : stop - side - 1 : side]
-        # rank[a, j]: symbols <= a compatible at site j; rank[-1] counts them all
-        rank = ((west[left] & south[down]) >> shifts & one).cumsum(0)
+        idx = left * (q + 1) + down
         k = lo * side + d - lo
-        pick = draws[k : k + (n - 1) * step + 1 : step] * rank[-1]
-        # an integer rank is <= pick exactly when it is <= int(pick)
-        flat[start:stop:side] = (rank <= pick).sum(0)
-    # a contiguous copy: later passes over a strided view cost memory
-    w = Window(Rect.centered(radius), padded[side:0:-1, 1:])
+        rank = (draws[k : k + (n - 1) * step + 1 : step] * count[idx]).astype(np.int64)
+        flat[start:stop:side] = table[idx, rank]
+    # a contiguous int64 copy: later passes over a strided view cost memory
+    w = Window(
+        Rect.centered(radius), padded[side:0:-1, 1:].astype(np.int64, order="C"), _copy=False
+    )
     if violations(w, sft):
         raise RuntimeError("sampler produced an inadmissible window")
     return w

@@ -195,21 +195,56 @@ def metric_exact(w: Window, v: Window) -> MetricResult:
     return MetricResult(exact=Fraction(1, 2**i), radius=i)
 
 
-def render_window(w: Window) -> str:
-    """Line-oriented text form: header then one row per line, top row first.
+RENDER_BLOCK = 1 << 14  # symbols rendered per numpy pass
+MAX_SYMBOL_DIGITS = 18  # every symbol of at most 18 digits fits an int64
 
-    Rows are converted one at a time, so no Python copy of the whole
-    window is ever held.
-    """
+
+def render_window(w: Window) -> str:
+    """Header, then one row per line, top row first, each symbol as str()
+    writes it and followed by a space, or a newline after a row's last.
+    Built as bytes in blocks of rows: digits right-aligned to the block's
+    widest symbol, leading zeros then dropped. Raises ValueError on a
+    negative symbol, which the format cannot hold."""
     r = w.rect
-    lines = [f"window {r.x0} {r.y0} {r.width} {r.height}"]
-    for row in w.array:
-        lines.append(" ".join(map(str, row.tolist())))
-    return "\n".join(lines) + "\n"
+    parts = [f"window {r.x0} {r.y0} {r.width} {r.height}\n"]
+    step = max(1, RENDER_BLOCK // r.width)
+    for top in range(0, r.height, step):
+        block = w.array[top : top + step]
+        if block.min() < 0:
+            raise ValueError("symbols must be nonnegative")
+        width = len(str(block.max()))
+        text = np.empty(block.shape + (width + 1,), dtype=np.uint8)
+        rest = block
+        for j in range(width - 1, 0, -1):
+            rest, text[..., j] = np.divmod(rest, 10)
+        text[..., 0] = rest
+        text[..., :width] += ord("0")
+        text[..., width] = ord(" ")
+        text[:, -1, width] = ord("\n")
+        if width > 1:
+            # a digit is kept once a nonzero digit has come; the last always is
+            keep = np.logical_or.accumulate(text != ord("0"), axis=-1)
+            keep[..., width - 1] = True
+            text = text[keep]
+        parts.append(text.tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def parse_window(text: str) -> Window:
-    """Parse the text form produced by render_window."""
+    """Parse the text form produced by render_window: after the header,
+    `height` rows of `width` symbols separated by spaces or tabs, blank
+    lines ignored. A symbol is 1 to 18 ASCII decimal digits, so it is
+    nonnegative and below 10**18. Every row is checked before anything
+    is allocated; then one numpy parse converts them all."""
+    rect, body = _checked_body(text)
+    arr = np.fromstring(body, dtype=np.int64, sep=" ")
+    return Window(rect, arr.reshape(rect.height, rect.width), _copy=False)
+
+
+def _checked_body(text: str) -> tuple[Rect, str]:
+    """The header's rectangle and the rows joined by spaces, once every
+    row holds `width` well-formed symbols; ValueError names the first
+    row that does not."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty window text")
@@ -224,15 +259,14 @@ def parse_window(text: str) -> Window:
     rows = lines[1:]
     if len(rows) != height:
         raise ValueError(f"expected {height} rows, found {len(rows)}")
-    arr = np.empty((height, width), dtype=np.int64)
     for i, ln in enumerate(rows):
         vals = ln.split()
         if len(vals) != width:
             raise ValueError(f"row {i + 1}: expected {width} symbols, found {len(vals)}")
-        try:
-            arr[i] = list(map(int, vals))
-        except ValueError as exc:
-            raise ValueError(f"row {i + 1}: symbols must be integers") from exc
-    if arr.min() < 0:
-        raise ValueError("symbols must be nonnegative")
-    return Window(rect, arr, _copy=False)
+        digits = ln.replace(" ", "").replace("\t", "")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"row {i + 1}: symbols must be ASCII digits separated by blanks")
+        # a symbol over the limit leaves the row at least width + MAX_SYMBOL_DIGITS digits
+        if len(digits) >= width + MAX_SYMBOL_DIGITS and max(map(len, vals)) > MAX_SYMBOL_DIGITS:
+            raise ValueError(f"row {i + 1}: a symbol has more than {MAX_SYMBOL_DIGITS} digits")
+    return rect, " ".join(rows)

@@ -100,6 +100,20 @@ class NnSft:
         return t
 
     @cached_property
+    def pick_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sampler's lookup: for a west neighbor l and a south neighbor
+        d (q for "none"), row l*(q+1) + d of the (q+1)**2 x q table lists
+        the centers compatible with both, in increasing order and first,
+        and the count array says how many there are."""
+        q = self.q
+        both = self.fill_table[WEST][:, None] & self.fill_table[SOUTH][None, :]
+        ok = (both.reshape(-1, 1) >> np.arange(q, dtype=np.uint64) & np.uint64(1)).astype(bool)
+        table = np.argsort(~ok, axis=1, kind="stable")
+        count = ok.sum(axis=1)
+        table.flags.writeable = count.flags.writeable = False
+        return table, count
+
+    @cached_property
     def ssf(self) -> "SsfResult":
         return check_ssf(self)
 

@@ -132,7 +132,8 @@ def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):
 # ---------------------------------------------------------------------------
 # Per-site references for the fill-table code paths: the SSF check over a
 # q**4 boolean array, the raster sampler, the per-site decomposition and
-# the per-site run fill. Outputs must match the package's exactly.
+# the per-site run fill; and the row-by-row window text. Outputs must
+# match the package's exactly.
 
 
 def reference_check_ssf(sft: NnSft) -> SsfResult:
@@ -177,6 +178,41 @@ def reference_sample_admissible(sft: NnSft, radius: int, rng: np.random.Generato
             arr[r, c] = opts[int(draws[k] * len(opts))]
             k += 1
     return Window(Rect.centered(radius), arr, _copy=False)
+
+
+def reference_render_window(w: Window) -> str:
+    """The window text built row by row with str()."""
+    r = w.rect
+    lines = [f"window {r.x0} {r.y0} {r.width} {r.height}"]
+    for row in w.array:
+        lines.append(" ".join(map(str, row.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_window(text: str) -> Window:
+    """The window text parsed row by row with int(), which also takes
+    signs, underscores and non-ASCII digits; a symbol of 2**63 or more
+    raises OverflowError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty window text")
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != "window":
+        raise ValueError("window text must start with 'window x0 y0 width height'")
+    x0, y0, width, height = (int(t) for t in head[1:])
+    rect = Rect(x0, y0, width, height)
+    rows = lines[1:]
+    if len(rows) != height:
+        raise ValueError(f"expected {height} rows, found {len(rows)}")
+    arr = np.empty((height, width), dtype=np.int64)
+    for i, ln in enumerate(rows):
+        vals = ln.split()
+        if len(vals) != width:
+            raise ValueError(f"row {i + 1}: expected {width} symbols, found {len(vals)}")
+        arr[i] = list(map(int, vals))
+    if arr.min() < 0:
+        raise ValueError("symbols must be nonnegative")
+    return Window(rect, arr, _copy=False)
 
 
 def reference_decompose(w: Window, sft: NnSft, i: int) -> ShellDecomposition:

@@ -62,6 +62,11 @@ def test_input_errors_exit_2(tmp_path):
     assert "line 2" in res.stderr
     assert run_cli("check", "--nonsense").returncode == 2
     assert run_cli("frobnicate").returncode == 2
+    # a symbol of 2**63 or more, and a header far wider than its rows
+    big = tmp_path / "big.txt"
+    big.write_text("window -2 -2 5 5\n" + "0 0 0 0 0\n" * 2 + "0 0 99999999999999999999 0 0\n" + "0 0 0 0 0\n" * 2)
+    wide = tmp_path / "wide.txt"
+    wide.write_text("window 0 0 1000000000000 1\n0\n")
     # bad numeric flags: one error line, never a traceback
     for args in (
         ("verify", "--spec", "hardsquare", "--epsilon", "1/0"),
@@ -79,6 +84,8 @@ def test_input_errors_exit_2(tmp_path):
         ("entropy", "--spec", "hardsquare", "--strip-width", "100000"),
         # a tolerance below the residual's rounding floor, refused before iterating
         ("entropy", "--spec", "hardsquare", "--strip-width", "4", "--tol", "1e-300"),
+        ("repair", "--spec", "checkerboard:5", "--window", str(big)),
+        ("repair", "--spec", "checkerboard:5", "--window", str(wide)),
     ):
         res = run_cli(*args)
         assert res.returncode == 2, args

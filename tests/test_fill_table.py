@@ -3,7 +3,7 @@ sampler, run fill), plus the sliced shell decomposition, checked for
 exact equality against the per-site references in _util."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnsft.harness import corrupt, sample_admissible
@@ -56,15 +56,28 @@ def test_check_ssf_witness_matches_reference(q, pairs):
     assert check_ssf(sft) == reference_check_ssf(sft)
 
 
+def test_pick_table_hard_square():
+    table, count = hard_square().pick_table
+    # rows (left, down) in 0, 1, none; a 1 on either side leaves only 0
+    assert count.tolist() == [2, 1, 2, 1, 1, 1, 2, 1, 2]
+    assert table[:, 0].tolist() == [0] * 9
+    assert table[8].tolist() == [0, 1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    k=st.integers(0, len(SFTS) - 1),
+    k=st.integers(0, len(SFTS)),
     radius=st.sampled_from([0, 1, 8, 26]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(k=len(SFTS), radius=0, seed=0)
+@example(k=len(SFTS), radius=26, seed=1)
 def test_sampler_matches_raster_reference(k, radius, seed):
-    sft = SFTS[k]
-    assert check_ssf(sft) == reference_check_ssf(sft)
+    if k == len(SFTS):
+        sft = checkerboard(64)  # q = 64, the widest fill table
+    else:
+        sft = SFTS[k]
+        assert check_ssf(sft) == reference_check_ssf(sft)
     got = sample_admissible(sft, radius, np.random.default_rng(seed))
     assert got == reference_sample_admissible(sft, radius, np.random.default_rng(seed))
 

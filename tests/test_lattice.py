@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nnsft.lattice import Rect, Window, metric_exact, parse_window, render_window
 
-from _util import random_window, window_from_rows
+from _util import random_window, reference_parse_window, reference_render_window, window_from_rows
 
 
 def test_rect_basics():
@@ -128,3 +130,99 @@ def test_parse_window_errors():
         parse_window("window 0 0 2 1\n0 0 0\n")
     with pytest.raises(ValueError):
         parse_window("window 0 0 1 1\nx\n")
+    # a symbol of 2**63 or more: one ValueError naming the row, not an OverflowError
+    big = "window 0 0 5 5\n" + "0 0 0 0 0\n" * 2 + "0 0 99999999999999999999 0 0\n" + "0 0 0 0 0\n" * 2
+    with pytest.raises(OverflowError):
+        reference_parse_window(big)
+    with pytest.raises(ValueError, match="row 3: a symbol has more than 18 digits"):
+        parse_window(big)
+    # the limit is 18 digits, even for a 19-digit symbol below 2**63
+    assert parse_window(f"window 0 0 2 1\n{10**18 - 1} 0\n").get((0, 0)) == 10**18 - 1
+    with pytest.raises(ValueError, match="row 1: a symbol has more than 18 digits"):
+        parse_window(f"window 0 0 2 1\n{10**18} 0\n")
+    # a huge header is refused by its rows, before anything is allocated
+    with pytest.raises(ValueError, match="row 1: expected 1000000000000 symbols, found 1"):
+        parse_window("window 0 0 1000000000000 1\n0\n")
+    # deliberately narrower than int(): signs, underscores and non-ASCII digits
+    for row in ("+1 0", "1_0 0", "٣ 0", "-1 0", "1\x1f0"):
+        with pytest.raises(ValueError, match="row 1: symbols must be ASCII digits separated by blanks"):
+            parse_window(f"window 0 0 2 1\n{row}\n")
+
+
+def test_render_refuses_negative_symbols():
+    with pytest.raises(ValueError, match="nonnegative"):
+        render_window(window_from_rows(0, 0, [[0, 1], [2, -3]]))
+
+
+def windows(max_symbol: int) -> st.SearchStrategy[Window]:
+    """Windows on random rects, single rows and columns among them, with
+    symbols in 0..max_symbol."""
+    return st.tuples(
+        st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12), st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    ).map(lambda t: Window(
+        Rect(*t[:4]),
+        np.random.default_rng(t[4]).integers(0, max_symbol, size=(t[3], t[2]), endpoint=True),
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.sampled_from([1, 5, 9, 10, 63, 999, 10**9, 10**18 - 1]).flatmap(windows))
+@example(w=window_from_rows(0, 0, [[0, 10**18 - 1, 10**17, 10]]))
+@example(w=window_from_rows(0, 0, [[7], [70], [0]]))
+def test_window_text_matches_reference(w):
+    text = render_window(w)
+    assert text == reference_render_window(w)
+    assert parse_window(text) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=windows(99),
+    seps=st.lists(st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"]), min_size=1),
+    pads=st.lists(st.sampled_from(["", " ", "\t", "\n", "\n\n", "\n \t\n", "\r\n"]), min_size=1),
+)
+def test_parse_blanks_as_reference(w, seps, pads):
+    # any run of spaces and tabs separates symbols; blank lines are ignored
+    lines = [f"window {w.rect.x0} {w.rect.y0} {w.rect.width} {w.rect.height}"]
+    for i, row in enumerate(w.array.tolist()):
+        body = "".join(str(a) + seps[(i + j) % len(seps)] for j, a in enumerate(row))
+        lines.append(pads[i % len(pads)] + body)
+    text = "\n".join(lines) + pads[-1] + "\n"
+    assert parse_window(text) == reference_parse_window(text) == w
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w=windows(12),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.sampled_from(["", "-", "+", "x", "_", "0", "7", " ", "\n", "\t", "٣", "9" * 19]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_parse_raises_where_reference_raises(w, edits):
+    text = render_window(w)
+    for pos, piece in edits:
+        pos %= len(text)
+        # an empty piece deletes the character at pos
+        text = text[:pos] + piece + text[pos + (not piece) :]
+    try:
+        expected = reference_parse_window(text)
+    except (ValueError, OverflowError):
+        with pytest.raises(ValueError):
+            parse_window(text)
+        return
+    try:
+        got = parse_window(text)
+    except ValueError:
+        # refused only where the format is narrower than int(): a symbol
+        # that int() reads but that is not 1 to 18 ASCII digits
+        rows = [ln for ln in text.splitlines() if ln.strip()][1:]
+        tokens = [t for ln in rows for t in ln.split()]
+        assert any(not (t.isascii() and t.isdigit()) or len(t) > 18 for t in tokens)
+        return
+    assert got == expected
