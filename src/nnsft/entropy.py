@@ -70,9 +70,10 @@ class StripTransfer:
             raise ValueError("strip width must be >= 1")
         if m > MAX_STRIP_WIDTH:
             raise ValueError(f"strip width must be <= {MAX_STRIP_WIDTH}")
-        if q**m > STATE_ENUM_GUARD:
+        size = q ** max(m, 2)  # at m = 1 the q x q pair tables are larger
+        if size > STATE_ENUM_GUARD:
             raise ValueError(
-                f"q**m = {q**m} exceeds the state enumeration guard ({STATE_ENUM_GUARD})"
+                f"q**max(m, 2) = {size} exceeds the state enumeration guard ({STATE_ENUM_GUARD})"
             )
         v_ok = ~sft.v_table
         # words[k]: codes of the admissible columns of height k, sorted;

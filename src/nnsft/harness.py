@@ -522,10 +522,6 @@ class ExperimentResult:
     def all_pass(self) -> bool:
         return all(r.all_pass for r in self.reports)
 
-    @property
-    def failures(self) -> list[TrialReport]:
-        return [r for r in self.reports if not r.all_pass]
-
 
 def render_csv(reports: list[TrialReport]) -> str:
     lines = [CSV_HEADER]

@@ -12,18 +12,25 @@ cuts them from a window array as nine views, for birkhoff_sum and the
 harness's per-shell accounting, with no copy and no index gather.
 
 Perturbations are range-1: a sparse table of coefficients indexed by
-3x3 patches (row-major, top row first), every coefficient bounded by a
-cap. Such a function is Lipschitz for the dyadic metric and its norms
-are computable exactly: two configurations achieving the variation sup
-can agree everywhere outside the patch, so the seminorm is the maximum
-of |c_p - c_p'| * 2**i(p, p') over patch pairs, where i(p, p') is 0
-when the patterns differ at the center and 1 otherwise. Patterns absent
-from the table form an implicit zero-coefficient class.
+3x3 patches (row-major, top row first), every coefficient finite and
+bounded by a cap. Such a function is Lipschitz for the dyadic metric and
+its norms are computable exactly: two configurations achieving the
+variation sup can agree everywhere outside the patch, so the seminorm is
+the maximum of |c_p - c_p'| * 2**i(p, p') over patch pairs, where
+i(p, p') is 0 when the patterns differ at the center and 1 otherwise.
+Patterns absent from the table form an implicit zero-coefficient class.
+With max_a and min_a the extremes of the coefficients of center a, 0
+among them when a pattern with center a is absent, that maximum is the
+larger of 2*(max_a - min_a) over centers a and max_a - min_b over
+centers a != b. Letting the latter range over a == b too adds values at
+most half the former, so it is the largest max_a less the smallest
+min_b. Float subtraction is monotone, so these extremes give the
+pairwise maximum of the rounded |c_p - c_p'| to the bit.
 
 Norm convention: ||h||_Lip = sup|h| + Lip(h).
 
-Analytic bound, used when the coefficient table is too large to
-enumerate pairwise: configurations agreeing on the 3x3 patch have equal
+Analytic bound, the certified gap for supports over
+SEMINORM_ENUM_GUARD: configurations agreeing on the 3x3 patch have equal
 h, so any pair with h(x) != h(y) differs inside the patch and has
 d(x, y) >= 1/2; hence Lip(h) <= 2*cap / (1/2) = 4*cap and
 ||h||_Lip <= cap + 4*cap = 5*cap.
@@ -31,10 +38,10 @@ d(x, y) >= 1/2; hence Lip(h) <= 2*cap / (1/2) = 4*cap and
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 
 import numpy as np
 
@@ -63,12 +70,12 @@ class RangeOnePerturbation:
     cap: float
 
     def __post_init__(self) -> None:
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
+        if not 0 < self.cap < inf:
+            raise ValueError("cap must be positive and finite")
         for pat, c in self.coeffs.items():
             if len(pat) != 9 or any(s < 0 for s in pat):
                 raise ValueError(f"bad pattern {pat!r}: need 9 nonnegative symbols")
-            if abs(c) > self.cap:
+            if not abs(c) <= self.cap:  # refuses NaN too
                 raise ValueError(f"coefficient {c} for {pat} exceeds cap {self.cap}")
 
     @property
@@ -99,50 +106,36 @@ def sup_norm_exact(h: RangeOnePerturbation) -> float:
 
 
 def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
-    """Exact Lipschitz seminorm of a range-1 function over alphabet 0..q-1.
+    """Exact Lipschitz seminorm of a range-1 function over alphabet 0..q-1,
+    from each center's coefficient extremes (see the module docstring).
 
-    Maximizes |c_p - c_p'| * 2**i(p, p') over pattern pairs, including
-    the implicit zero-coefficient class of absent patterns. Guarded at
-    SEMINORM_ENUM_GUARD stored patterns; use analytic_norm_bound beyond.
+    Guarded at SEMINORM_ENUM_GUARD stored patterns, beyond which the
+    certified gap is analytic_norm_bound.
     """
     n = len(h.coeffs)
     if n > SEMINORM_ENUM_GUARD:
         raise ValueError(
-            f"{n} patterns exceed the pairwise enumeration guard "
+            f"{n} patterns exceed the enumeration guard "
             f"({SEMINORM_ENUM_GUARD}); use analytic_norm_bound instead"
         )
     if n == 0:
         return 0.0
-    pats = np.array(sorted(h.coeffs.keys()), dtype=np.int64)
+    pats = np.array(list(h.coeffs), dtype=np.int64)
     if int(pats.max()) >= q:
         raise ValueError("pattern symbol outside alphabet")
-    cs = np.array([h.coeffs[tuple(int(s) for s in p)] for p in pats], dtype=float)
-    best = 0.0
-    chunk = 512
-    for k in range(0, n, chunk):
-        block = pats[k : k + chunk]
-        diff_any = (block[:, None, :] != pats[None, :, :]).any(axis=2)
-        center_diff = block[:, None, PATCH_CENTER] != pats[None, :, PATCH_CENTER]
-        factor = np.where(center_diff, 1.0, 2.0)
-        vals = np.abs(cs[k : k + chunk, None] - cs[None, :]) * factor
-        vals[~diff_any] = 0.0
-        if vals.size:
-            best = max(best, float(vals.max()))
-    total_patterns = q**9
-    if n < total_patterns:
-        per_center = q**8
-        stored_per_center = Counter(int(p[PATCH_CENTER]) for p in pats)
-        for idx in range(n):
-            cp = abs(float(cs[idx]))
-            if cp == 0.0:
-                continue
-            center = int(pats[idx, PATCH_CENTER])
-            if per_center - stored_per_center[center] > 0:
-                # an absent pattern differing from this one only off-center
-                best = max(best, 2.0 * cp)
-            elif (total_patterns - per_center) - (n - stored_per_center[center]) > 0:
-                best = max(best, cp)
-    return best
+    cs = np.fromiter(h.coeffs.values(), float, n)
+    _, at, counts = np.unique(pats[:, PATCH_CENTER], return_inverse=True, return_counts=True)
+    hi = np.full(len(counts), -inf)
+    lo = np.full(len(counts), inf)
+    np.maximum.at(hi, at, cs)
+    np.minimum.at(lo, at, cs)
+    partial = counts < q**8  # the center's absent patterns add a 0
+    hi[partial] = np.maximum(hi[partial], 0.0)
+    lo[partial] = np.minimum(lo[partial], 0.0)
+    if len(counts) < q:  # a center with no stored pattern has only 0
+        hi, lo = np.append(hi, 0.0), np.append(lo, 0.0)
+    # the leading 0.0 keeps a zero seminorm +0.0
+    return float(max(0.0, 2.0 * (hi - lo).max(), hi.max() - lo.min()))
 
 
 def lipschitz_norm_exact(h: RangeOnePerturbation, q: int) -> LipschitzNorm:
@@ -156,24 +149,20 @@ def analytic_norm_bound(h: RangeOnePerturbation) -> float:
 
 @dataclass
 class PerturbedPotential:
-    """Penalty potential plus a range-1 perturbation, with a certified
-    upper bound on the Lipschitz norm of the difference."""
+    """Penalty potential plus a range-1 perturbation, with gap, the
+    certified upper bound on the Lipschitz norm of the difference,
+    computed once at construction."""
 
     sft: NnSft
     h: RangeOnePerturbation
-    certified_norm_gap: float | None = None
+    gap: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.gap = certify_norm_gap(self.h, self.sft.q)
 
     @classmethod
     def build(cls, sft: NnSft, h: RangeOnePerturbation) -> "PerturbedPotential":
-        g = cls(sft, h)
-        certify_norm_gap(g)
-        return g
-
-    @property
-    def gap(self) -> float:
-        if self.certified_norm_gap is None:
-            raise ValueError("potential has not been certified; call certify_norm_gap")
-        return self.certified_norm_gap
+        return cls(sft, h)
 
     def patch_parts(self, patch: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """(bad, h) at sites given by their 3x3 patches: patch holds nine
@@ -228,15 +217,13 @@ class PerturbedPotential:
         return codes, vals
 
 
-def certify_norm_gap(g: PerturbedPotential) -> float:
-    """Upper-bound ||g - f||_Lip: exact sup + seminorm when the support
-    is enumerable, the 5*cap analytic bound otherwise. Stored on g."""
-    if g.h.support_size <= SEMINORM_ENUM_GUARD:
-        gap = lipschitz_norm_exact(g.h, g.sft.q).total
-    else:
-        gap = analytic_norm_bound(g.h)
-    g.certified_norm_gap = gap
-    return gap
+def certify_norm_gap(h: RangeOnePerturbation, q: int) -> float:
+    """Upper bound on ||h||_Lip over alphabet 0..q-1: exact sup +
+    seminorm up to SEMINORM_ENUM_GUARD stored patterns, the 5*cap
+    analytic bound beyond."""
+    if h.support_size <= SEMINORM_ENUM_GUARD:
+        return lipschitz_norm_exact(h, q).total
+    return analytic_norm_bound(h)
 
 
 def _encode_pattern(pat: Pattern, q: int) -> int:
@@ -292,8 +279,8 @@ def sample_perturbation(
 ) -> RangeOnePerturbation:
     """Draw support_size distinct 3x3 patterns uniformly with coefficients
     uniform in [-cap, cap]. Deterministic given the seed."""
-    if cap <= 0:
-        raise ValueError("cap must be positive")
+    if not 0 < cap < inf:
+        raise ValueError("cap must be positive and finite")
     if q < 1:
         raise ValueError("alphabet size must be >= 1")
     if q**9 >= 2**62:

@@ -4,11 +4,13 @@ random SFT/window generators."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from nnsft import NnSft, Rect, Run, ShellDecomposition, Window, check_ssf
 from nnsft.entropy import TOL_FLOOR, ConvergenceError, EmptySubshiftError, StripEntropyResult
+from nnsft.potentials import PATCH_CENTER
 from nnsft.sft import SsfResult, bad_site_mask
 
 
@@ -99,6 +101,45 @@ def potential_oracle(g, w: Window, x: int, y: int) -> float:
     pat = tuple(int(v) for v in w.array[r - 1 : r + 2, c - 1 : c + 2].ravel())
     bad = (pat[4], pat[5]) in g.sft.hforbid or (pat[4], pat[1]) in g.sft.vforbid
     return -int(bad) + g.h.coeffs.get(pat, 0.0)
+
+
+def reference_seminorm(h, q: int) -> float:
+    """The pairwise Lipschitz seminorm that lipschitz_seminorm_exact
+    replaced: every pair of stored patterns in blocks of 512 rows, then
+    each stored coefficient against the implicit zero class."""
+    n = len(h.coeffs)
+    if n == 0:
+        return 0.0
+    pats = np.array(sorted(h.coeffs.keys()), dtype=np.int64)
+    if int(pats.max()) >= q:
+        raise ValueError("pattern symbol outside alphabet")
+    cs = np.array([h.coeffs[tuple(int(s) for s in p)] for p in pats], dtype=float)
+    best = 0.0
+    chunk = 512
+    for k in range(0, n, chunk):
+        block = pats[k : k + chunk]
+        diff_any = (block[:, None, :] != pats[None, :, :]).any(axis=2)
+        center_diff = block[:, None, PATCH_CENTER] != pats[None, :, PATCH_CENTER]
+        factor = np.where(center_diff, 1.0, 2.0)
+        vals = np.abs(cs[k : k + chunk, None] - cs[None, :]) * factor
+        vals[~diff_any] = 0.0
+        if vals.size:
+            best = max(best, float(vals.max()))
+    total_patterns = q**9
+    if n < total_patterns:
+        per_center = q**8
+        stored_per_center = Counter(int(p[PATCH_CENTER]) for p in pats)
+        for idx in range(n):
+            cp = abs(float(cs[idx]))
+            if cp == 0.0:
+                continue
+            center = int(pats[idx, PATCH_CENTER])
+            if per_center - stored_per_center[center] > 0:
+                # an absent pattern differing from this one only off-center
+                best = max(best, 2.0 * cp)
+            elif (total_patterns - per_center) - (n - stored_per_center[center]) > 0:
+                best = max(best, cp)
+    return best
 
 
 def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):

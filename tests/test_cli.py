@@ -82,6 +82,8 @@ def test_input_errors_exit_2(tmp_path):
         # strip widths over 64 are refused before q**m is formed
         ("entropy", "--spec", "full:1", "--strip-width", "65"),
         ("entropy", "--spec", "hardsquare", "--strip-width", "100000"),
+        # at m = 1 the q x q pair tables are refused before they are built
+        ("entropy", "--spec", "full:2000000", "--strip-width", "1"),
         # a tolerance below the residual's rounding floor, refused before iterating
         ("entropy", "--spec", "hardsquare", "--strip-width", "4", "--tol", "1e-300"),
         ("repair", "--spec", "checkerboard:5", "--window", str(big)),
@@ -160,6 +162,11 @@ GOLDEN_VERIFY = {
         "067a81e7af5e5b71c8f24718c1013447c00f0d8f5c0c9b624f95a61a6d6b65cc",
     ("--spec", "hardsquare", "--size", "16", "--trials", "6", "--seed", "2", "--support", "40"):
         "5b91089a32cace6d0dcb26f61844099c69aa0fa0bd4a1d3d4dbbe17d0a065050",
+    # the largest support certified exactly, and the smallest on the 5*cap bound
+    ("--spec", "checkerboard:5", "--size", "4", "--trials", "1", "--support", "10000"):
+        "82a8bfc277c26babd5e56f07e4401f7baead9151ce805f16b65b2df118c08319",
+    ("--spec", "checkerboard:5", "--size", "4", "--trials", "1", "--support", "10001"):
+        "f69adf2e8738d9ab0af28a10ba004bebb0f05993887d12ce8e991198bbe942a8",
 }
 
 

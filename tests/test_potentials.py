@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnsft.lattice import Rect, Window
 from nnsft.potentials import (
+    PATCH_CENTER,
     PATCH_OFFSETS,
     PerturbedPotential,
     RangeOnePerturbation,
@@ -23,7 +24,7 @@ from nnsft.potentials import (
 )
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square
 
-from _util import potential_oracle, random_sft, random_ssf_sfts, random_window
+from _util import potential_oracle, random_sft, random_ssf_sfts, random_window, reference_seminorm
 
 HS = hard_square()
 
@@ -98,6 +99,11 @@ def test_seminorm_trivial_cases():
     h = RangeOnePerturbation({(0,) * 9: 0.003}, cap=0.003)
     # an absent pattern differing only off-center exists, so factor 2
     assert lipschitz_seminorm_exact(h, 2) == pytest.approx(0.006)
+    # center 0 stores all 256 of its patterns, each 0.002, and center 1
+    # none, so the seminorm is 0.002 - 0 across centers
+    pats = [p for p in itertools.product(range(2), repeat=9) if p[PATCH_CENTER] == 0]
+    h = RangeOnePerturbation(dict.fromkeys(pats, 0.002), cap=0.003)
+    assert lipschitz_seminorm_exact(h, 2) == reference_seminorm(h, 2) == 0.002
 
 
 def test_seminorm_of_penalty_table():
@@ -155,6 +161,54 @@ def test_seminorm_guard(monkeypatch):
         lipschitz_seminorm_exact(h, 3)
 
 
+@settings(max_examples=300, deadline=None)
+@example(q=2, support=0, seed=0, levels=0, filled=0)  # the empty table
+@example(q=2, support=40, seed=1, levels=2, filled=1)  # one center full, one partial
+@example(q=2, support=0, seed=2, levels=0, filled=2)  # the full q = 2 table
+@example(q=1, support=1, seed=3, levels=0, filled=0)  # the full q = 1 table
+@given(
+    q=st.integers(1, 5),
+    support=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.sampled_from([0, 1, 2, 3]),
+    filled=st.integers(0, 2),
+)
+def test_seminorm_matches_pairwise_reference(q, support, seed, levels, filled):
+    # the per-center extremes give the pairwise maximum to the bit; levels
+    # > 0 rounds coefficients to multiples of cap/levels, forcing ties and
+    # exact zeros of either sign, and for q <= 2 `filled` centers store
+    # all q**8 of their patterns
+    rng = np.random.default_rng(seed)
+    cap = 1 / 384
+    codes = set(rng.choice(q**9, size=min(support, q**9), replace=False).tolist())
+    if q <= 2:
+        for center in rng.permutation(q)[:filled].tolist():
+            codes.update(k for k in range(q**9) if k // q**PATCH_CENTER % q == center)
+    vals = rng.uniform(-cap, cap, len(codes))
+    if levels:
+        vals = np.round(vals / cap * levels) / levels * cap
+    pats = [tuple(k // q**j % q for j in range(9)) for k in sorted(codes)]
+    h = RangeOnePerturbation(dict(zip(pats, vals.tolist())), cap)
+    assert lipschitz_seminorm_exact(h, q).hex() == reference_seminorm(h, q).hex()
+
+
+def test_non_finite_values_refused():
+    pat = (0,) * 9
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            RangeOnePerturbation({pat: c}, cap=0.01)
+    for cap in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            RangeOnePerturbation({pat: 5.0}, cap=cap)
+        with pytest.raises(ValueError, match="finite"):
+            RangeOnePerturbation({}, cap=cap)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            sample_perturbation(cap, 1, 2, rng)
+        assert rng.bit_generator.state == state  # refused before drawing
+
+
 def test_analytic_bound_soundness():
     rng = np.random.default_rng(55)
     for k in range(200):
@@ -167,11 +221,12 @@ def test_analytic_bound_soundness():
 
 def test_certify_norm_gap():
     g = _g()
-    assert g.certified_norm_gap == 0.0
+    assert g.gap == 0.0
     assert analytic_norm_bound(RangeOnePerturbation({}, cap=0.002)) == pytest.approx(0.010)
     for seed in range(50):
         h = sample_perturbation(1 / 384, 8, 2, seed)
         g = PerturbedPotential.build(HS, h)
+        assert g.gap == certify_norm_gap(h, 2) == lipschitz_norm_exact(h, 2).total
         assert g.gap < 1 / 64
         assert g.gap <= 5.0 * h.cap + 1e-15
 
