@@ -1,7 +1,20 @@
 """Nearest-neighbor Z^2 subshifts of finite type: admissibility,
 single-site fillability, shell-by-shell configuration repair,
 penalty-potential perturbations, a quantitative verification harness,
-and strip transfer-matrix entropy."""
+and strip transfer-matrix entropy.
+
+Importing nnsft starts numpy's BLAS with one thread, whatever
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS say: the only
+BLAS call, the strip matvec's tensordot, has an inner dimension of q,
+too small for a second thread to pay, and an idle worker still spins
+and burns CPU. The pin acts only when nnsft is imported before numpy;
+a thread pool that numpy has already started keeps its size. The three
+variables stay set, so processes started later inherit them."""
+
+import os
+
+# before the first submodule import, which loads numpy and its BLAS
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .entropy import (
     ConvergenceError,

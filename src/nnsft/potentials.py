@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import inf
 
 import numpy as np
@@ -120,9 +121,7 @@ def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
         )
     if n == 0:
         return 0.0
-    pats = np.array(list(h.coeffs), dtype=np.int64)
-    if int(pats.max()) >= q:
-        raise ValueError("pattern symbol outside alphabet")
+    pats = _pattern_array(h.coeffs, q)
     cs = np.fromiter(h.coeffs.values(), float, n)
     _, at, counts = np.unique(pats[:, PATCH_CENTER], return_inverse=True, return_counts=True)
     hi = np.full(len(counts), -inf)
@@ -176,11 +175,7 @@ class PerturbedPotential:
         codes, vals = self._code_lookup
         if not codes.size:
             return bad, np.zeros(bad.shape)
-        q = self.sft.q
-        code = np.array(patch[8], dtype=np.int64)
-        for symbols in patch[7::-1]:  # Horner's rule, in place
-            code *= q
-            code += symbols
+        code = _pattern_codes(patch, self.sft.q)
         idx = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
         return bad, np.where(codes[idx] == code, vals[idx], 0.0)
 
@@ -208,13 +203,16 @@ class PerturbedPotential:
 
     @cached_property
     def _code_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored patterns' codes in increasing order, and their
+        coefficients in the same order."""
         q = self.sft.q
-        items = sorted(
-            (_encode_pattern(p, q), c) for p, c in self.h.coeffs.items()
-        )
-        codes = np.array([k for k, _ in items], dtype=np.int64)
-        vals = np.array([v for _, v in items], dtype=float)
-        return codes, vals
+        pats = _pattern_array(self.h.coeffs, q)
+        if len(pats) and q**9 > 2**63:
+            raise ValueError("alphabet too large to index 3x3 patterns")
+        codes = _pattern_codes(pats.T, q)
+        order = np.argsort(codes)  # codes are unique: no ties to break
+        vals = np.fromiter(self.h.coeffs.values(), float, len(pats))
+        return codes[order], vals[order]
 
 
 def certify_norm_gap(h: RangeOnePerturbation, q: int) -> float:
@@ -226,12 +224,27 @@ def certify_norm_gap(h: RangeOnePerturbation, q: int) -> float:
     return analytic_norm_bound(h)
 
 
-def _encode_pattern(pat: Pattern, q: int) -> int:
-    if any(not (0 <= s < q) for s in pat):
-        raise ValueError(f"pattern {pat!r} has symbols outside alphabet 0..{q - 1}")
-    code = 0
-    for k in range(8, -1, -1):
-        code = code * q + pat[k]
+def _pattern_array(coeffs: dict[Pattern, float], q: int) -> np.ndarray:
+    """The stored patterns as an (n, 9) int64 array, in the table's
+    order. A symbol of q or more raises ValueError, also one too large
+    for int64."""
+    try:
+        pats = np.fromiter(chain.from_iterable(coeffs), np.int64, 9 * len(coeffs))
+    except OverflowError:
+        pats = None
+    if pats is None or (pats >= q).any():
+        bad = next(p for p in coeffs if max(p) >= q)
+        raise ValueError(f"pattern {bad!r} has symbols outside alphabet 0..{q - 1}")
+    return pats.reshape(-1, 9)
+
+
+def _pattern_codes(patch: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """Code of each 3x3 pattern, the sum of patch[k] * q**k over the nine
+    symbol arrays in PATCH_OFFSETS order, by Horner's rule in place."""
+    code = np.array(patch[8], dtype=np.int64)
+    for symbols in patch[7::-1]:
+        code *= q
+        code += symbols
     return code
 
 

@@ -103,6 +103,26 @@ def potential_oracle(g, w: Window, x: int, y: int) -> float:
     return -int(bad) + g.h.coeffs.get(pat, 0.0)
 
 
+def encode_pattern(pat: tuple[int, ...], q: int) -> int:
+    """The per-pattern encoder that PerturbedPotential._code_lookup
+    replaced: sum of pat[k] * q**k, by Horner's rule on Python ints."""
+    if any(not (0 <= s < q) for s in pat):
+        raise ValueError(f"pattern {pat!r} has symbols outside alphabet 0..{q - 1}")
+    code = 0
+    for k in range(8, -1, -1):
+        code = code * q + pat[k]
+    return code
+
+
+def reference_code_lookup(h, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (codes, coefficients) table as _code_lookup built it before:
+    encoded one pattern at a time, then sorted as pairs."""
+    items = sorted((encode_pattern(p, q), c) for p, c in h.coeffs.items())
+    codes = np.array([k for k, _ in items], dtype=np.int64)
+    vals = np.array([v for _, v in items], dtype=float)
+    return codes, vals
+
+
 def reference_seminorm(h, q: int) -> float:
     """The pairwise Lipschitz seminorm that lipschitz_seminorm_exact
     replaced: every pair of stored patterns in blocks of 512 rows, then

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -10,12 +11,13 @@ from nnsft.lattice import parse_window
 from nnsft.sft import NnSft, bad_sites, hard_square, parse_sft, render_sft, violations
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "nnsft.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
 
 
@@ -191,6 +193,20 @@ def test_entropy_golden(capsys):
         assert main(["entropy", *args]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
+def test_blas_runs_one_thread_whatever_the_environment():
+    # importing nnsft before numpy pins BLAS to one thread over the
+    # caller's setting, and the dense golden strip value holds under it
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    count = "import os, nnsft, numpy; print(len(os.listdir('/proc/self/task')))"
+    res = subprocess.run([sys.executable, "-c", count], env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stdout == "1\n", res.stderr
+    args = ("--spec", "checkerboard:5", "--strip-width", "8")
+    res = run_cli("entropy", *args, env=env)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_ENTROPY[args]
 
 
 def test_verify_rational_epsilon_and_hypothesis_guard():

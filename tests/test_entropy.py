@@ -232,6 +232,8 @@ def test_matches_masked_tensor_on_ssf_sfts(k, m):
 # at m = 1 the tensor is a vector and numpy sums its product in the
 # matrix-vector order; this SFT's last bit differs under the matrix order
 @example(q=4, m=1, pairs=[(True, a, b) for a, b in ((1, 2), (2, 1), (3, 1), (1, 1), (3, 0), (2, 3), (3, 2), (1, 3))])
+# and this one's last bit moves when the matvec sums in einsum's order
+@example(q=5, m=1, pairs=[(True, 1, 2), (True, 1, 3), (False, 1, 4), (True, 0, 4), (True, 2, 1), (True, 4, 3), (False, 1, 4), (False, 2, 3)])
 def test_matches_masked_tensor_on_any_sft(q, m, pairs):
     assume(q**m <= 5**5)
     hf = frozenset((a % q, b % q) for horizontal, a, b in pairs if horizontal)

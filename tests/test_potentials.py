@@ -12,6 +12,7 @@ from nnsft.potentials import (
     PATCH_OFFSETS,
     PerturbedPotential,
     RangeOnePerturbation,
+    SEMINORM_ENUM_GUARD,
     analytic_norm_bound,
     birkhoff_sum,
     certify_norm_gap,
@@ -24,7 +25,14 @@ from nnsft.potentials import (
 )
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square
 
-from _util import potential_oracle, random_sft, random_ssf_sfts, random_window, reference_seminorm
+from _util import (
+    potential_oracle,
+    random_sft,
+    random_ssf_sfts,
+    random_window,
+    reference_code_lookup,
+    reference_seminorm,
+)
 
 HS = hard_square()
 
@@ -190,6 +198,51 @@ def test_seminorm_matches_pairwise_reference(q, support, seed, levels, filled):
     pats = [tuple(k // q**j % q for j in range(9)) for k in sorted(codes)]
     h = RangeOnePerturbation(dict(zip(pats, vals.tolist())), cap)
     assert lipschitz_seminorm_exact(h, q).hex() == reference_seminorm(h, q).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@example(q=128, support=1, seed=0, top=True)  # the largest code, 2**63 - 1
+@example(q=1, support=1, seed=1, top=False)  # the one q = 1 pattern
+@example(q=3, support=0, seed=2, top=False)  # the empty table
+@given(
+    q=st.integers(1, 128),
+    support=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.booleans(),
+)
+def test_code_lookup_matches_per_pattern_encoder(q, support, seed, top):
+    # one int64 Horner pass and one argsort give the table that encoding
+    # each pattern in Python and sorting the pairs gave; `top` adds the
+    # all-(q-1) pattern, whose code is the alphabet's largest
+    rng = np.random.default_rng(seed)
+    pats = [tuple(p) for p in rng.integers(0, q, size=(support, 9)).tolist()]
+    if top:
+        pats.append((q - 1,) * 9)
+    cap = 1 / 384
+    coeffs = dict(zip(pats, rng.uniform(-cap, cap, len(pats)).tolist()))
+    h = RangeOnePerturbation(coeffs, cap)
+    codes, vals = PerturbedPotential.build(full_shift(q), h)._code_lookup
+    ref_codes, ref_vals = reference_code_lookup(h, q)
+    assert codes.dtype == ref_codes.dtype and codes.tolist() == ref_codes.tolist()
+    assert vals.dtype == ref_vals.dtype and vals.tobytes() == ref_vals.tobytes()
+
+
+def test_code_lookup_refuses_symbols_outside_alphabet():
+    # at construction while the seminorm is computed exactly, in the lookup
+    # beyond the guard; a symbol too large for int64 too
+    sft = full_shift(5)
+    many = sample_perturbation(1 / 384, SEMINORM_ENUM_GUARD + 1, 5, 0).coeffs
+    for symbol in (5, 2**63, 2**70):
+        pat = (0,) * 4 + (symbol,) + (0,) * 4
+        with pytest.raises(ValueError, match="outside alphabet"):
+            PerturbedPotential.build(sft, RangeOnePerturbation({pat: 0.001}, 1 / 384))
+        g = PerturbedPotential.build(sft, RangeOnePerturbation({**many, pat: 0.001}, 1 / 384))
+        with pytest.raises(ValueError, match="outside alphabet"):
+            g._code_lookup
+    # past q = 128 the int64 codes of patch_parts would wrap
+    g = PerturbedPotential.build(full_shift(129), RangeOnePerturbation({(0,) * 9: 0.001}, 1 / 384))
+    with pytest.raises(ValueError, match="alphabet too large"):
+        g._code_lookup
 
 
 def test_non_finite_values_refused():
