@@ -142,7 +142,10 @@ def strip_entropy(
     tensor.
 
     Raises EmptySubshiftError when no column is admissible or no column
-    can follow any other (lambda_max = 0, entropy -infinity). A tol
+    can be followed forever (T is nilpotent: lambda_max = 0, entropy
+    -infinity). The first step shows whether some column has no
+    successor; only then are such columns dropped, one matvec a round,
+    until none is left (raise) or none is dropped. A tol
     below TOL_FLOOR is refused before iterating: rounding in the
     residual alone can keep it above tol * s forever. The floor is
     machine epsilon, not a bound derived for each strip: the hard square
@@ -163,6 +166,9 @@ def strip_entropy(
     v /= transfer.state_count
     for iterations in range(1, max_iter + 1):
         w = transfer.matvec(v) + v  # iterate I + T; keeps periodic T convergent
+        # v starts uniform, so w > v exactly at the columns with a successor
+        if iterations == 1 and not (w > v).all():
+            _require_cycle(transfer, w > v, max_iter)
         scratch[codes] = w
         s = float(scratch.sum())  # = L1 norm: w is nonnegative and v is normalized
         scratch[codes] = np.abs(w - s * v)
@@ -174,3 +180,17 @@ def strip_entropy(
                 raise EmptySubshiftError("empty subshift: no column can follow any other")
             return StripEntropyResult(log(lam) / m, m, transfer.state_count, iterations)
     raise ConvergenceError(f"power iteration did not certify convergence in {max_iter} steps")
+
+
+def _require_cycle(transfer: StripTransfer, alive: np.ndarray, rounds: int) -> None:
+    """Raise EmptySubshiftError when the columns marked alive (those with
+    a successor) lead to no cycle: drop the columns with no successor
+    among the rest until none is dropped; T is nilpotent exactly when
+    none are left. Gives up silently after the given number of rounds."""
+    for _ in range(rounds):
+        if not alive.any():
+            raise EmptySubshiftError("empty subshift: no column can be followed forever")
+        kept = alive & (transfer.matvec(alive.astype(float)) > 0)
+        if (kept == alive).all():
+            return
+        alive = kept

@@ -6,10 +6,13 @@ exactly on admissible configurations and its value at a site depends
 only on the 3x3 patch there. PerturbedPotential.patch_parts is the one
 evaluator of g = penalty + h: it takes the nine patch-symbol arrays of
 some sites, in PATCH_OFFSETS order, and returns the bad-site indicator
-and h there. PerturbedPotential.parts gathers those arrays from a window
-at arrays of sites, for value and the level-set check; region_patches
-cuts them from a window array as nine views, for birkhoff_sum and the
-harness's per-shell accounting, with no copy and no index gather.
+and h there, searching the sorted pattern codes only at the sites whose
+code passes a bit filter of the stored codes. PerturbedPotential.parts
+gathers those arrays from a window at arrays of sites, for value and
+the level-set check; region_patches cuts them from a window array as
+nine views, for birkhoff_sum and the harness's per-shell accounting,
+with no copy and no index gather. sum_parts turns an evaluation into a
+windowed sum.
 
 Perturbations are range-1: a sparse table of coefficients indexed by
 3x3 patches (row-major, top row first), every coefficient finite and
@@ -168,16 +171,33 @@ class PerturbedPotential:
         symbol arrays of one shape, in PATCH_OFFSETS order, and the two
         results have that shape. bad is the bad-site indicator, from the
         forbidden-pair tables; h is the perturbation, looked up by 3x3
-        pattern code.
+        pattern code. Only the sites whose code passes _code_filter can
+        hold a stored pattern; those alone are searched for among the
+        sorted codes, and every other site gets h = 0.
         """
         center = patch[PATCH_CENTER]
         bad = self.sft.h_table[center, patch[_RIGHT]] | self.sft.v_table[center, patch[_UP]]
         codes, vals = self._code_lookup
-        if not codes.size:
-            return bad, np.zeros(bad.shape)
-        code = _pattern_codes(patch, self.sft.q)
-        idx = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        return bad, np.where(codes[idx] == code, vals[idx], 0.0)
+        h = np.zeros(bad.size)
+        if codes.size:
+            code = _pattern_codes(patch, self.sft.q).ravel()
+            filt = self._code_filter
+            at = np.flatnonzero(filt[code & (len(filt) - 1)])
+            code = code[at]
+            idx = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+            hit = codes[idx] == code
+            h[at[hit]] = vals[idx[hit]]
+        return bad, h.reshape(bad.shape)
+
+    def sum_parts(self, bad: np.ndarray, h: np.ndarray) -> float:
+        """The sum of g over the sites of patch_parts' (bad, h): minus
+        the bad count plus numpy's sum of h, which is left out for an
+        empty table. numpy groups a sum by the array's layout, so equal
+        sums need h of one shape and contiguous."""
+        total = -float(bad.sum())
+        if self.h.support_size:
+            total += float(h.sum())
+        return total
 
     def parts(self, w: Window, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         """patch_parts at the sites (xs, ys) of w, two arrays of their
@@ -213,6 +233,19 @@ class PerturbedPotential:
         order = np.argsort(codes)  # codes are unique: no ties to break
         vals = np.fromiter(self.h.coeffs.values(), float, len(pats))
         return codes[order], vals[order]
+
+    @cached_property
+    def _code_filter(self) -> np.ndarray:
+        """True at code & (len - 1) for every stored code: a site whose
+        code lands on False holds no stored pattern. The length is a
+        power of two, at least 64 per stored pattern, at most 2**20 and
+        at most the first power of two >= q**9, where the filter is
+        exact."""
+        codes, _ = self._code_lookup
+        bits = min((64 * len(codes) - 1).bit_length(), 20, (self.sft.q**9 - 1).bit_length())
+        filt = np.zeros(1 << bits, dtype=bool)
+        filt[codes & ((1 << bits) - 1)] = True
+        return filt
 
 
 def certify_norm_gap(h: RangeOnePerturbation, q: int) -> float:
@@ -277,11 +310,7 @@ def birkhoff_sum(g: PerturbedPotential, w: Window, region: Rect) -> float:
     summand has its full 3x3 patch stored. The sum is minus the bad
     count plus the numpy sum of h in row-major order, top row first.
     """
-    bad, h = g.patch_parts(region_patches(w.array, w.rect, region))
-    total = -float(bad.sum())
-    if g.h.support_size:
-        total += float(h.sum())
-    return total
+    return g.sum_parts(*g.patch_parts(region_patches(w.array, w.rect, region)))
 
 
 def sample_perturbation(

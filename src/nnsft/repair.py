@@ -225,6 +225,8 @@ class RepairResult:
 
     @cached_property
     def shells(self) -> list[ShellDecomposition]:
+        if not self.sweep[0].size:  # a clean input: every shell is empty
+            return [ShellDecomposition(i) for i in range(len(self.shell_sizes))]
         return _decompose(len(self.shell_sizes) - 1, *self.sweep)
 
 

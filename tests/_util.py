@@ -10,7 +10,17 @@ import numpy as np
 
 from nnsft import NnSft, Rect, Run, ShellDecomposition, Window, check_ssf
 from nnsft.entropy import TOL_FLOOR, ConvergenceError, EmptySubshiftError, StripEntropyResult
-from nnsft.potentials import PATCH_CENTER
+from nnsft.harness import (
+    TrialReport,
+    check_average_bounds,
+    check_shell_gaps,
+    check_total_gap,
+    corrupt,
+    sample_admissible,
+    trial_seed,
+)
+from nnsft.potentials import PATCH_CENTER, PerturbedPotential, sample_perturbation
+from nnsft.repair import repair
 from nnsft.sft import SsfResult, bad_site_mask
 
 
@@ -190,6 +200,53 @@ def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):
     return rows
 
 
+def reference_run_trial(cfg, index: int):
+    """A trial assembled from the public checks, as run_trial did before
+    it shared one evaluation per window state: check_average_bounds on
+    the base and on the corrupted window, check_shell_gaps,
+    check_total_gap, and bad-site masks of the corrupted and repaired
+    windows for the cross-check, locality and cleanliness."""
+    seed = trial_seed(cfg.seed, index)
+    rng = np.random.default_rng(seed)
+    sft = cfg.sft
+    base = sample_admissible(sft, cfg.window_radius, rng)
+    corrupted = corrupt(base, sft.q, cfg.corrupt_rate, rng)
+    h = sample_perturbation(cfg.cap, cfg.support_size, sft.q, rng)
+    g = PerturbedPotential.build(sft, h)
+    result = repair(corrupted, sft, cfg.n, rule=cfg.rule, rng=rng)
+    region = cfg.region
+
+    bad_total = result.total_bad
+    bad_mask, _ = bad_site_mask(corrupted, sft)
+    # the region's rows and columns of the window's array
+    cut = (
+        slice(corrupted.rect.y1 - region.y1, corrupted.rect.y1 - region.y0 + 1),
+        slice(region.x0 - corrupted.rect.x0, region.x1 - corrupted.rect.x0 + 1),
+    )
+    bad_in_region = np.zeros_like(bad_mask)
+    bad_in_region[cut] = bad_mask[cut]
+    if bad_total != int(bad_in_region.sum()):
+        raise RuntimeError("shell decomposition lost bad sites")
+    changed = corrupted.array != result.window.array
+    return TrialReport(
+        index=index,
+        seed=seed,
+        n=cfg.n,
+        q=sft.q,
+        bad_total=bad_total,
+        bad_fraction=bad_total / region.area,
+        certified_gap=g.gap,
+        admissible_check=check_average_bounds(g, base, region),
+        corrupted_check=check_average_bounds(g, corrupted, region),
+        shell_check=check_shell_gaps(g, corrupted, result.window, result.shell_sizes, region),
+        total_check=check_total_gap(
+            g, corrupted, result.window, result.shell_sizes, region, cfg.n
+        ),
+        repaired_clean=not bad_site_mask(result.window, sft)[0][cut].any(),
+        locality_ok=not (changed & ~bad_in_region).any(),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Per-site references for the fill-table code paths: the SSF check over a
 # q**4 boolean array, the raster sampler, the per-site decomposition and
@@ -335,9 +392,10 @@ def reference_repair(
 
 # ---------------------------------------------------------------------------
 # Masked-tensor strip entropy: the power iteration over the full q**m
-# tensor, vertically admissible columns masked in. The enumerated-state
-# iteration in nnsft.entropy must give exactly its value, state count and
-# iteration count, and raise where it raises.
+# tensor, vertically admissible columns masked in, after a check that
+# some column can be followed forever. The enumerated-state iteration in
+# nnsft.entropy must give exactly its value, state count and iteration
+# count, and raise where it raises.
 
 
 def reference_strip_entropy(
@@ -356,13 +414,26 @@ def reference_strip_entropy(
     if count == 0:
         raise EmptySubshiftError("empty subshift: no vertically admissible column")
     h_ok = (~sft.h_table).astype(float)
+
+    def matvec(v):
+        for ax in range(m):
+            v = np.moveaxis(np.tensordot(h_ok, v, axes=([1], [ax])), 0, ax)
+        return np.where(mask, v, 0.0)
+
+    # columns that can be followed forever: drop those with no successor
+    # among the rest until none is dropped
+    alive = mask
+    while True:
+        kept = alive & (matvec(alive.astype(float)) > 0)
+        if not kept.any():
+            raise EmptySubshiftError("empty subshift: no column can be followed forever")
+        if (kept == alive).all():
+            break
+        alive = kept
     v = mask.astype(float)
     v /= v.sum()
     for iterations in range(1, max_iter + 1):
-        w = v.copy()
-        for ax in range(m):
-            w = np.moveaxis(np.tensordot(h_ok, w, axes=([1], [ax])), 0, ax)
-        w = np.where(mask, w, 0.0) + v
+        w = matvec(v) + v
         s = float(w.sum())
         residual = float(np.abs(w - s * v).sum())
         v = w / s

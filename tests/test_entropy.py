@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from nnsft.entropy import (
     StripTransfer,
     strip_entropy,
 )
-from nnsft.sft import NnSft, checkerboard, full_shift, hard_square
+from nnsft.cli import main
+from nnsft.sft import NnSft, checkerboard, full_shift, hard_square, parse_sft
 
 from _util import random_ssf_sfts, reference_strip_entropy
 
@@ -161,6 +163,33 @@ def test_empty_subshift_errors():
         strip_entropy(NnSft(1, hforbid=frozenset({(0, 0)})), 2)
 
 
+def test_nilpotent_transfer_refused_at_once(tmp_path, capsys):
+    # T = [[0, 1], [0, 0]]: column 1 follows column 0 and nothing follows
+    # 1, so no strip is bi-infinite and the power iteration could not
+    # certify; it is refused before iterating
+    spec = tmp_path / "nilpotent.txt"
+    spec.write_text("alphabet 2\nhforbid 0 0\nhforbid 1 0\nhforbid 1 1\nvforbid 0 0\n")
+    start = time.perf_counter()
+    rc = main(["entropy", "--spec", str(spec), "--strip-width", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and "empty subshift" in capsys.readouterr().err
+    for m in (1, 2, 5):
+        with pytest.raises(EmptySubshiftError, match="followed forever"):
+            strip_entropy(parse_sft(spec.read_text()), m)
+
+
+def test_dead_columns_around_a_live_core():
+    # symbol 2 has no right neighbour, so every column holding a 2 is
+    # dead; the check that finds them leaves the iteration's value alone,
+    # to the bit of the values the plain power iteration prints
+    sft = NnSft(3, frozenset({(2, 0), (2, 1), (2, 2)}), frozenset({(1, 1)}))
+    printed = {1: 0.6931471805599453, 2: 0.5493061443340549, 3: 0.5364793041447001}
+    for m, value in printed.items():
+        res = strip_entropy(sft, m)
+        assert res.value == value
+        assert res == reference_strip_entropy(sft, m)
+
+
 def test_state_guard():
     with pytest.raises(ValueError, match="guard"):
         strip_entropy(full_shift(4), 12)
@@ -234,6 +263,8 @@ def test_matches_masked_tensor_on_ssf_sfts(k, m):
 @example(q=4, m=1, pairs=[(True, a, b) for a, b in ((1, 2), (2, 1), (3, 1), (1, 1), (3, 0), (2, 3), (3, 2), (1, 3))])
 # and this one's last bit moves when the matvec sums in einsum's order
 @example(q=5, m=1, pairs=[(True, 1, 2), (True, 1, 3), (False, 1, 4), (True, 0, 4), (True, 2, 1), (True, 4, 3), (False, 1, 4), (False, 2, 3)])
+# a nilpotent T: both raise EmptySubshiftError instead of iterating
+@example(q=2, m=2, pairs=[(True, 0, 0), (True, 1, 0), (True, 1, 1), (False, 0, 0)])
 def test_matches_masked_tensor_on_any_sft(q, m, pairs):
     assume(q**m <= 5**5)
     hf = frozenset((a % q, b % q) for horizontal, a, b in pairs if horizontal)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -11,6 +12,7 @@ from nnsft.cli import main
 from nnsft.harness import (
     WINDOW_SITE_GUARD,
     TrialConfig,
+    TrialReport,
     check_average_bounds,
     check_shell_gaps,
     check_total_gap,
@@ -25,7 +27,7 @@ from nnsft.harness import (
 from nnsft.lattice import Rect, Window, render_window
 from nnsft.potentials import PerturbedPotential, birkhoff_sum, sample_perturbation, zero_perturbation
 from nnsft.repair import RepairResult, repair
-from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square, violations
+from nnsft.sft import bad_site_mask, bad_sites, checkerboard, full_shift, hard_square, violations
 
 from _util import (
     pair_scan_bad_sites,
@@ -33,8 +35,13 @@ from _util import (
     random_ssf_sfts,
     random_window,
     reference_decompose,
+    reference_run_trial,
     reference_shell_rows,
 )
+
+# the modules, not the package's same-named functions
+sft_module = importlib.import_module("nnsft.sft")
+repair_module = importlib.import_module("nnsft.repair")
 
 HS = hard_square()
 
@@ -209,6 +216,35 @@ def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, suppo
     windows = [w] + [Window(rect, np.where(norm <= i, out.array, w.array)) for i in range(n + 1)]
     expected = reference_shell_rows(g, shells, windows, region)
     assert [(row.size, row.pending, row.observed) for row in rep.rows] == expected
+    # the region's bad sites and windowed sums of input and output, read
+    # from a hull that may be larger than the region, are birkhoff_sum's
+    cut = (slice(rect.y1 - region.y1, rect.y1 - region.y0 + 1),
+           slice(region.x0 - rect.x0, region.x1 - rect.x0 + 1))
+    for window, count, total in ((w, rep.input_bad_count, rep.input_sum),
+                                 (out, rep.output_bad_count, rep.output_sum)):
+        mask = bad_site_mask(window, sft)[0][cut]
+        assert count == int(mask.sum())
+        assert repr(total) == repr(birkhoff_sum(g, window, region))
+    allowed = np.zeros(w.array.shape, dtype=bool)
+    allowed[cut] = bad_site_mask(w, sft)[0][cut]
+    assert rep.stray_changes == int(((w.array != out.array) & ~allowed).sum())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shell_gap_sums_are_birkhoff_sums_on_a_wider_hull(seed):
+    # a region narrower than the hull is a strided slice of each pass;
+    # numpy would sum it in another grouping than birkhoff_sum's
+    # contiguous array, so the report's sums must come from a copy
+    # (every pattern stored: every site's term is nonzero)
+    q, n = 2, 50
+    rng = np.random.default_rng(seed)
+    rect = Rect.centered(n + 2)
+    w, out = (random_window(rect, q, rng) for _ in range(2))
+    g = PerturbedPotential.build(full_shift(q), sample_perturbation(1 / 384, q**9, q, rng))
+    region = Rect(-n + 2, -n, 2 * n - 3, 2 * n + 1)
+    rep = check_shell_gaps(g, w, out, [0] * (n + 1), region)
+    assert repr(rep.input_sum) == repr(birkhoff_sum(g, w, region))
+    assert repr(rep.output_sum) == repr(birkhoff_sum(g, out, region))
 
 
 def test_total_gap_admissible():
@@ -249,6 +285,53 @@ def test_run_trial_zero_support_exact_identity():
     assert r.all_pass
     # improvement equals the bad count exactly
     assert r.total_check.total_gap == pytest.approx(-float(r.bad_total), abs=1e-12)
+
+
+TRIAL_SFTS = random_ssf_sfts(10, seed=1111) + [HS, checkerboard(5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(0, len(TRIAL_SFTS) - 1),
+    n=st.integers(1, 12),
+    support=st.integers(0, 40),
+    rule=st.sampled_from(["smallest", "random"]),
+    rate=st.sampled_from([0.0, 0.15, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_run_trial_matches_reference_assembly(k, n, support, rule, rate, seed):
+    # one evaluation per window state gives the report that the public
+    # checks and bad-site masks gave, every float to the bit
+    cfg = TrialConfig(
+        sft=TRIAL_SFTS[k], n=n, support_size=support, rule=rule, corrupt_rate=rate, seed=seed
+    )
+    got, want = run_trial(cfg, 1), reference_run_trial(cfg, 1)
+    for f in dataclasses.fields(TrialReport):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+    assert got.csv_row() == want.csv_row()
+
+
+def test_run_trial_evaluates_each_window_state_once(monkeypatch):
+    # base, input, two mixed states and output: five passes of the
+    # evaluator; the one bad-site mask is repair's
+    calls = []
+    evaluate = PerturbedPotential.patch_parts
+
+    def counted_parts(self, patch):
+        calls.append("patch_parts")
+        return evaluate(self, patch)
+
+    monkeypatch.setattr(PerturbedPotential, "patch_parts", counted_parts)
+    for module in (sft_module, harness, repair_module):
+        def counted_mask(w, sft, _name=module.__name__):
+            calls.append(f"bad_site_mask from {_name}")
+            return bad_site_mask(w, sft)
+
+        monkeypatch.setattr(module, "bad_site_mask", counted_mask)
+    for sft, n in ((HS, 6), (checkerboard(5), 20)):
+        calls.clear()
+        run_trial(TrialConfig(sft=sft, n=n, seed=2), 0)
+        assert sorted(calls) == ["bad_site_mask from nnsft.repair"] + ["patch_parts"] * 5
 
 
 def test_run_trial_locality_failures(monkeypatch):

@@ -26,6 +26,7 @@ from nnsft.potentials import (
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square
 
 from _util import (
+    encode_pattern,
     potential_oracle,
     random_sft,
     random_ssf_sfts,
@@ -225,6 +226,49 @@ def test_code_lookup_matches_per_pattern_encoder(q, support, seed, top):
     ref_codes, ref_vals = reference_code_lookup(h, q)
     assert codes.dtype == ref_codes.dtype and codes.tolist() == ref_codes.tolist()
     assert vals.dtype == ref_vals.dtype and vals.tobytes() == ref_vals.tobytes()
+
+
+@pytest.mark.parametrize(
+    "q,support,filter_size",
+    [
+        (3, 0, None),
+        (3, 1, 64),
+        (3, 8, 512),
+        (3, 5_000, 2**15),  # the first power of two >= q**9: exact
+        (5, 300, 2**15),
+        (5, 20_000, 2**20),  # the filter's cap: many codes share a slot
+        (2, 1, 64),
+        (2, 8, 2**9),  # q**9 codes: the filter is exact
+        (2, 512, 2**9),  # every pattern stored
+    ],
+)
+def test_patch_parts_h_matches_dict_lookup(q, support, filter_size):
+    # h at random patterns and at every stored one, each looked up by code
+    # in a dict, equals patch_parts' filtered search to the bit
+    rng = np.random.default_rng(q * 100_003 + support)
+    h = sample_perturbation(1 / 384, support, q, rng)
+    g = PerturbedPotential.build(full_shift(q), h)
+    pats = rng.integers(0, q, size=(4 * (1_000 + support), 9))
+    pats[rng.permutation(len(pats))[:support]] = list(h.coeffs) or np.empty((0, 9))
+    by_code = {encode_pattern(p, q): c for p, c in h.coeffs.items()}
+    want = np.array([by_code.get(encode_pattern(p, q), 0.0) for p in pats.tolist()])
+    _, got = g.patch_parts(list(pats.T.reshape(9, -1, 4)))
+    assert got.shape == (len(pats) // 4, 4)
+    assert got.ravel().tobytes() == want.tobytes()
+    if filter_size is not None:
+        assert len(g._code_filter) == filter_size
+
+
+def test_patch_parts_finds_the_largest_code():
+    # at q = 128 the all-127 pattern has code 2**63 - 1, the largest int64
+    q = 128
+    top, low = (q - 1,) * 9, (0,) * 8 + (1,)
+    h = RangeOnePerturbation({top: 0.002, low: -0.001}, 1 / 384)
+    g = PerturbedPotential.build(full_shift(q), h)
+    assert g._code_lookup[0].tolist() == [q**8, 2**63 - 1]
+    pats = [top, low, (q - 1,) * 8 + (q - 2,), (0,) * 9]
+    _, got = g.patch_parts([np.array(col, dtype=np.int64) for col in zip(*pats)])
+    assert got.tolist() == [0.002, -0.001, 0.0, 0.0]
 
 
 def test_code_lookup_refuses_symbols_outside_alphabet():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nnsft.lattice import Rect, Window
-from nnsft.repair import Run, _sweep, changed_sites, fill_segment, repair
+from nnsft.repair import Run, _decompose, _sweep, changed_sites, fill_segment, repair
 from nnsft.sft import SymbolRangeError, bad_sites, checkerboard, hard_square, violations
 from nnsft.harness import corrupt, sample_admissible
 
@@ -53,6 +53,16 @@ def test_decompose_top_runs_ordered():
 def test_decompose_admissible_window():
     dec = repair(Window.filled(Rect.centered(4), 0), hard_square(), 3).shells[3]
     assert dec.is_empty and dec.total_bad == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_shells_of_empty_sweep_match_decompose(n):
+    # a clean input returns the empty shells at once, equal to what the
+    # run cutter gives on an empty sweep
+    res = repair(Window.filled(Rect.centered(n + 1), 0), hard_square(), n)
+    assert res.sweep[0].size == 0
+    assert res.shells == _decompose(n, *res.sweep)
+    assert len(res.shells) == n + 1 and all(dec.is_empty for dec in res.shells)
 
 
 def test_decompose_corner_belongs_to_top():
