@@ -178,7 +178,9 @@ def strip_entropy(
             lam = s - 1.0
             if lam <= 0.0:
                 raise EmptySubshiftError("empty subshift: no column can follow any other")
-            return StripEntropyResult(log(lam) / m, m, transfer.state_count, iterations)
+            # the first step ruled a nilpotent T out, so lambda_max(T) >= 1
+            # and an estimate below 1 is rounding, not a negative entropy
+            return StripEntropyResult(log(max(lam, 1.0)) / m, m, transfer.state_count, iterations)
     raise ConvergenceError(f"power iteration did not certify convergence in {max_iter} steps")
 
 

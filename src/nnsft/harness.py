@@ -41,12 +41,16 @@ regime explicitly and still reports the observed improvement instead of
 passing silently.
 
 All randomness derives from (master seed, trial index), so a trial's
-report does not depend on which trials ran before it.
+report does not depend on which trials ran before it, nor on how trials
+are chunked: run_experiment samples the windows of a chunk of trials in
+one sweep, each from its trial's own generator, which then goes on
+through the trial exactly as if it had sampled alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +66,7 @@ from .potentials import (
 from .repair import repair
 # bad_site_mask is unused here but stays in the namespace: the
 # benchmark's tracer test patches and reads harness.bad_site_mask
-from .sft import NnSft, _check_symbols, bad_site_mask, violations  # noqa: F401
+from .sft import NnSft, _check_symbols, bad_site_mask  # noqa: F401
 
 DEFAULT_EPSILON = 1.0 / 64.0
 DEFAULT_CAP = 1.0 / 384.0
@@ -70,7 +74,11 @@ DEFAULT_CAP = 1.0 / 384.0
 SHELL_SLACK_COEFF = 112.0  # per-shell allowance, in units of the norm gap
 SHELL_SITE_COEFF = 32.0    # per-bad-site degradation coefficient, likewise
 
-WINDOW_SITE_GUARD = 2**22  # largest sampled window, in sites (radius 1023)
+WINDOW_SITE_GUARD = 2**22  # largest sampled window or stack, in sites (radius 1023)
+# run_experiment samples its trials' windows in chunks of at most this
+# many sites (at least one window), each chunk in one sweep: 11 windows
+# at N = 24, one from N = 62 on
+CHUNK_SITES = 2**15
 
 
 def tail_slack(n: int) -> float:
@@ -137,26 +145,83 @@ def sample_admissible(sft: NnSft, radius: int, rng: np.random.Generator) -> Wind
     raster positions: the window is the one a raster sweep with the same
     draws would produce. The output is verified violation-free.
 
-    Windows of more than WINDOW_SITE_GUARD sites are refused before
-    anything is allocated.
+    This is sample_admissible_stack with a stack of one.
+    """
+    return sample_admissible_stack(sft, radius, [rng])[0]
+
+
+def sample_admissible_stack(
+    sft: NnSft, radius: int, rngs: Sequence[np.random.Generator]
+) -> list[Window]:
+    """One window per generator, each the one sample_admissible gives
+    with that generator, which is left where sample_admissible leaves it.
+
+    Each generator draws its window's uniforms in turn, into one row of a
+    stack; one anti-diagonal sweep with a leading batch axis places every
+    window of the stack, and one vectorized test checks them all for
+    forbidden pairs. A lone window takes no batch axis, which would make
+    its sweep a quarter slower. The draws are freed once the windows are
+    placed and the stack on return: each window is a contiguous int64
+    copy.
+
+    Stacks of more than WINDOW_SITE_GUARD sites in all are refused
+    before anything is allocated.
     """
     if radius < 0:
         raise ValueError("box radius must be >= 0")
     side = 2 * radius + 1
-    if side * side > WINDOW_SITE_GUARD:
-        raise ValueError(
-            f"a window of radius {radius} has {side * side} sites, over the "
-            f"sampling guard ({WINDOW_SITE_GUARD})"
-        )
+    sites = len(rngs) * side * side
+    if sites > WINDOW_SITE_GUARD:
+        what = f"a window of radius {radius}"
+        if len(rngs) > 1:
+            what = f"a stack of {len(rngs)} windows of radius {radius}"
+        raise ValueError(f"{what} has {sites} sites, over the sampling guard ({WINDOW_SITE_GUARD})")
     if not sft.ssf.ok:
         raise ValueError("sampling requires a single-site fillable SFT")
+    if len(rngs) == 1:
+        draws = rngs[0].random(side * side)
+    else:
+        draws = np.empty((len(rngs), side * side))
+        for k, rng in enumerate(rngs):  # a row view left over would keep draws alive
+            rng.random(out=draws[k])
+    grids = _sweep(sft, draws, side).reshape(len(rngs), side + 1, side + 1)
+    del draws  # before the pair test's temporaries, which are as large
+    # rows bottom first, so the pair below a site is one row down; a pair
+    # (a, b) is entry a*q + b of its flattened table
+    placed = grids[:, 1:, 1:]
+    for forbidden, first, second in (
+        (sft.h_table, placed[:, :, :-1], placed[:, :, 1:]),
+        (sft.v_table, placed[:, :-1, :], placed[:, 1:, :]),
+    ):
+        if _pair_table_hits(forbidden, first, second):
+            raise RuntimeError("sampler produced an inadmissible window")
+    # contiguous int64 copies: later passes over a strided view cost memory
+    return [
+        Window(Rect.centered(radius), grid[side:0:-1, 1:].astype(np.int64, order="C"), _copy=False)
+        for grid in grids
+    ]
+
+
+def _pair_table_hits(table: np.ndarray, first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether the q x q boolean table holds any pair (first, second)."""
+    pairs = first * len(table)
+    pairs += second
+    return bool(table.ravel().take(pairs).any())
+
+
+def _sweep(sft: NnSft, draws: np.ndarray, side: int) -> np.ndarray:
+    """The anti-diagonal sweep: windows placed from draws of shape
+    (..., side * side), as a grid of shape (..., side + 1, side + 1)
+    with the bottom row first; row 0 and column 0 hold q, "no
+    neighbor"."""
     q = sft.q
     table, count = sft.pick_table
-    draws = rng.random(side * side)
-    # bottom row first, as the draws; row 0 and column 0 hold q, "no neighbor";
-    # int32, as an int64 grid raised the sample command's peak RSS by 4 MB
-    padded = np.full((side + 1, side + 1), q, dtype=np.int32)
-    flat = padded.ravel()
+    count = count.astype(float)
+    # intp, the type numpy indexes with: an int32 grid costs a cast in
+    # every lookup, a fifth of the sweep; the sample command's peak RSS
+    # still does not rise, as the draws are freed before the copy out
+    padded = np.full((*draws.shape[:-1], side + 1, side + 1), q, dtype=np.intp)
+    flat = padded.reshape(*draws.shape[:-1], (side + 1) ** 2)
     step = max(side - 1, 1)  # a slice step; radius 0 has a single site
     for d in range(2 * side - 1):
         # sites (b, d - b) for b in lo..hi, b counting rows from the bottom;
@@ -165,19 +230,12 @@ def sample_admissible(sft: NnSft, radius: int, rng: np.random.Generator) -> Wind
         n = hi - lo + 1
         start = (lo + 1) * (side + 1) + d - lo + 1
         stop = start + n * side
-        left = flat[start - 1 : stop - 1 : side]
-        down = flat[start - side - 1 : stop - side - 1 : side]
-        idx = left * (q + 1) + down
+        idx = flat[..., start - 1 : stop - 1 : side] * (q + 1)  # the left neighbor
+        idx += flat[..., start - side - 1 : stop - side - 1 : side]  # the down neighbor
         k = lo * side + d - lo
-        rank = (draws[k : k + (n - 1) * step + 1 : step] * count[idx]).astype(np.int64)
-        flat[start:stop:side] = table[idx, rank]
-    # a contiguous int64 copy: later passes over a strided view cost memory
-    w = Window(
-        Rect.centered(radius), padded[side:0:-1, 1:].astype(np.int64, order="C"), _copy=False
-    )
-    if violations(w, sft):
-        raise RuntimeError("sampler produced an inadmissible window")
-    return w
+        rank = draws[..., k : k + (n - 1) * step + 1 : step] * count.take(idx)
+        flat[..., start:stop:side] = table[idx, rank.astype(np.intp)]
+    return padded
 
 
 def corrupt(w: Window, q: int, rate: float, rng: np.random.Generator) -> Window:
@@ -528,11 +586,22 @@ CSV_HEADER = (
 )
 
 
-def run_trial(cfg: TrialConfig, index: int) -> TrialReport:
+def run_trial(
+    cfg: TrialConfig,
+    index: int,
+    sampled: tuple[np.random.Generator, Window] | None = None,
+) -> TrialReport:
+    """Trial index of the configured experiment. sampled, when given, is
+    the trial's generator and the admissible window it has just drawn
+    (as sample_admissible_stack leaves them); otherwise both are made
+    here, to the same effect."""
     seed = trial_seed(cfg.seed, index)
-    rng = np.random.default_rng(seed)
     sft = cfg.sft
-    base = sample_admissible(sft, cfg.window_radius, rng)
+    if sampled is None:
+        rng = np.random.default_rng(seed)
+        base = sample_admissible(sft, cfg.window_radius, rng)
+    else:
+        rng, base = sampled
     corrupted = corrupt(base, sft.q, cfg.corrupt_rate, rng)
     h = sample_perturbation(cfg.cap, cfg.support_size, sft.q, rng)
     g = PerturbedPotential.build(sft, h)
@@ -610,6 +679,17 @@ def render_csv(reports: list[TrialReport]) -> str:
 
 
 def run_experiment(cfg: TrialConfig) -> ExperimentResult:
-    """Run all configured trials in order, in the calling thread."""
-    reports = [run_trial(cfg, i) for i in range(cfg.trials)]
+    """Run all configured trials in order, in the calling thread, in
+    chunks of at most CHUNK_SITES window sites (at least one window):
+    sample_admissible_stack samples a chunk's windows in one sweep, and
+    then run_trial runs each of its trials from its own generator and
+    window."""
+    side = 2 * cfg.window_radius + 1
+    per_chunk = max(1, CHUNK_SITES // (side * side))
+    reports = []
+    for first in range(0, cfg.trials, per_chunk):
+        indices = range(first, min(first + per_chunk, cfg.trials))
+        rngs = [np.random.default_rng(trial_seed(cfg.seed, i)) for i in indices]
+        windows = sample_admissible_stack(cfg.sft, cfg.window_radius, rngs)
+        reports.extend(run_trial(cfg, i, (rng, w)) for i, rng, w in zip(indices, rngs, windows))
     return ExperimentResult(reports, render_csv(reports))

@@ -320,7 +320,11 @@ def sample_perturbation(
     seed: int | np.random.Generator,
 ) -> RangeOnePerturbation:
     """Draw support_size distinct 3x3 patterns uniformly with coefficients
-    uniform in [-cap, cap]. Deterministic given the seed."""
+    uniform in [-cap, cap]. Deterministic given the seed.
+
+    Pattern codes are drawn in rounds of as many as are still missing,
+    keeping first occurrences: the same draws, in the same order, as one
+    code at a time until support_size distinct ones are found."""
     if not 0 < cap < inf:
         raise ValueError("cap must be positive and finite")
     if q < 1:
@@ -334,10 +338,11 @@ def sample_perturbation(
     seen: set[int] = set()
     codes: list[int] = []
     while len(codes) < support_size:
-        v = int(rng.integers(0, total))
-        if v not in seen:
-            seen.add(v)
-            codes.append(v)
+        # a round never overdraws: at least this many more draws are needed
+        for v in rng.integers(0, total, size=support_size - len(codes)).tolist():
+            if v not in seen:
+                seen.add(v)
+                codes.append(v)
     values = rng.uniform(-cap, cap, size=support_size)
     coeffs = {_decode_pattern(k, q): float(v) for k, v in zip(codes, values)}
     return RangeOnePerturbation(coeffs, cap)

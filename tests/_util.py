@@ -19,7 +19,12 @@ from nnsft.harness import (
     sample_admissible,
     trial_seed,
 )
-from nnsft.potentials import PATCH_CENTER, PerturbedPotential, sample_perturbation
+from nnsft.potentials import (
+    PATCH_CENTER,
+    PerturbedPotential,
+    RangeOnePerturbation,
+    sample_perturbation,
+)
 from nnsft.repair import repair
 from nnsft.sft import SsfResult, bad_site_mask
 
@@ -122,6 +127,24 @@ def encode_pattern(pat: tuple[int, ...], q: int) -> int:
     for k in range(8, -1, -1):
         code = code * q + pat[k]
     return code
+
+
+def reference_sample_perturbation(cap: float, support_size: int, q: int, rng: np.random.Generator):
+    """sample_perturbation one code at a time: one rng.integers call per
+    code until support_size distinct codes are found, then the
+    coefficients; pattern digit k of code c is c // q**k % q, as
+    encode_pattern reads it."""
+    seen: set[int] = set()
+    codes: list[int] = []
+    while len(codes) < support_size:
+        v = int(rng.integers(0, q**9))
+        if v not in seen:
+            seen.add(v)
+            codes.append(v)
+    values = rng.uniform(-cap, cap, size=support_size)
+    return RangeOnePerturbation(
+        {tuple(c // q**k % q for k in range(9)): float(v) for c, v in zip(codes, values)}, cap
+    )
 
 
 def reference_code_lookup(h, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,5 +464,6 @@ def reference_strip_entropy(
             lam = s - 1.0
             if lam <= 0.0:
                 raise EmptySubshiftError("empty subshift: no column can follow any other")
-            return StripEntropyResult(math.log(lam) / m, m, count, iterations)
+            # T has a cycle (see the pruning above), so lambda_max >= 1
+            return StripEntropyResult(math.log(max(lam, 1.0)) / m, m, count, iterations)
     raise ConvergenceError(f"power iteration did not certify convergence in {max_iter} steps")

@@ -234,6 +234,19 @@ def test_entropy_output():
     assert res.stdout.splitlines()[1] == "logarithm natural"
 
 
+def test_entropy_of_a_lambda_one_strip_is_zero(tmp_path):
+    # a width-1 column alternates 0/1 and only 0 0 sits side by side:
+    # T = [[1, 0], [0, 0]], lambda_max = 1; the estimate lands a rounding
+    # below 1, and the entropy printed must still be 0.0, not negative
+    spec = tmp_path / "one.sft"
+    spec.write_text(
+        "alphabet 2\nhforbid 0 1\nhforbid 1 0\nhforbid 1 1\nvforbid 0 0\nvforbid 1 1\n"
+    )
+    res = run_cli("entropy", "--spec", str(spec), "--strip-width", "1")
+    assert res.returncode == 0
+    assert res.stdout == "entropy_per_site 0.0 strip_width 1 states 2\nlogarithm natural\n"
+
+
 def test_cli_determinism():
     invocations = [
         ("check", "--spec", "checkerboard:5"),

@@ -265,6 +265,9 @@ def test_matches_masked_tensor_on_ssf_sfts(k, m):
 @example(q=5, m=1, pairs=[(True, 1, 2), (True, 1, 3), (False, 1, 4), (True, 0, 4), (True, 2, 1), (True, 4, 3), (False, 1, 4), (False, 2, 3)])
 # a nilpotent T: both raise EmptySubshiftError instead of iterating
 @example(q=2, m=2, pairs=[(True, 0, 0), (True, 1, 0), (True, 1, 1), (False, 0, 0)])
+# lambda_max = 1 (only the all-1 column follows any column): the estimate
+# lands a rounding below 1, and both report entropy 0.0
+@example(q=2, m=6, pairs=[(False, 0, 0), (True, 0, 0), (True, 1, 0)])
 def test_matches_masked_tensor_on_any_sft(q, m, pairs):
     assume(q**m <= 5**5)
     hf = frozenset((a % q, b % q) for horizontal, a, b in pairs if horizontal)

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nnsft.harness import corrupt, sample_admissible
+from nnsft.harness import corrupt, sample_admissible, sample_admissible_stack
 from nnsft.repair import repair
 from nnsft.sft import EAST, NORTH, SOUTH, WEST, NnSft, check_ssf, checkerboard, hard_square
 
@@ -80,6 +80,27 @@ def test_sampler_matches_raster_reference(k, radius, seed):
         assert check_ssf(sft) == reference_check_ssf(sft)
     got = sample_admissible(sft, radius, np.random.default_rng(seed))
     assert got == reference_sample_admissible(sft, radius, np.random.default_rng(seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(0, len(SFTS)),
+    radius=st.sampled_from([0, 1, 8, 26]),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+)
+@example(k=len(SFTS), radius=26, seeds=[1, 2, 3])
+def test_stacked_sweep_matches_raster_reference(k, radius, seeds):
+    # every window of a stack is the one its own generator gives alone,
+    # and each generator is left where the lone sampler leaves it
+    sft = checkerboard(64) if k == len(SFTS) else SFTS[k]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    got = sample_admissible_stack(sft, radius, rngs)
+    assert len(got) == len(seeds)
+    for w, rng, seed in zip(got, rngs, seeds):
+        alone = np.random.default_rng(seed)
+        assert w == reference_sample_admissible(sft, radius, alone)
+        assert w.array.flags.c_contiguous and w.array.dtype == np.int64
+        assert rng.random() == alone.random()
 
 
 @settings(max_examples=80, deadline=None)

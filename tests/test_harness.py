@@ -21,13 +21,14 @@ from nnsft.harness import (
     run_experiment,
     run_trial,
     sample_admissible,
+    sample_admissible_stack,
     tail_slack,
     trial_seed,
 )
 from nnsft.lattice import Rect, Window, render_window
 from nnsft.potentials import PerturbedPotential, birkhoff_sum, sample_perturbation, zero_perturbation
 from nnsft.repair import RepairResult, repair
-from nnsft.sft import bad_site_mask, bad_sites, checkerboard, full_shift, hard_square, violations
+from nnsft.sft import NnSft, bad_site_mask, bad_sites, checkerboard, full_shift, hard_square, violations
 
 from _util import (
     pair_scan_bad_sites,
@@ -78,6 +79,48 @@ def test_sample_admissible():
     with pytest.raises(ValueError, match="guard"):
         sample_admissible(HS, radius + 1, np.random.default_rng(0))
     assert (2 * radius + 1) ** 2 <= WINDOW_SITE_GUARD
+
+
+def test_sample_admissible_stack_guard_counts_every_window():
+    # two windows that each fit the guard but not together are refused
+    # before either generator draws
+    radius = (math.isqrt(WINDOW_SITE_GUARD // 2) - 1) // 2 + 1
+    assert (2 * radius + 1) ** 2 <= WINDOW_SITE_GUARD < 2 * (2 * radius + 1) ** 2
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    states = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(ValueError, match="stack of 2 windows.*guard"):
+        sample_admissible_stack(HS, radius, rngs)
+    assert [rng.bit_generator.state for rng in rngs] == states
+    assert sample_admissible_stack(HS, 3, []) == []
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_stacked_window_with_a_forbidden_pair_raises(monkeypatch, size):
+    # a pick table that always places a 1 puts two 1s side by side
+    sft = hard_square()
+    table, count = sft.pick_table
+    sft.__dict__["pick_table"] = (np.ones_like(table), count)
+    rngs = [np.random.default_rng(i) for i in range(size)]
+    with pytest.raises(RuntimeError, match="inadmissible"):
+        sample_admissible_stack(sft, 3, rngs)
+    # one forbidden pair in one window of the stack, of an SFT that
+    # forbids pairs in that direction only
+    sweep = harness._sweep
+    only_h = NnSft(2, frozenset({(1, 1)}), frozenset())
+    only_v = NnSft(2, frozenset(), frozenset({(1, 1)}))
+    for k in range(size):
+        for sft, dr, dc in ((only_h, 0, 1), (only_v, 1, 0)):
+            def one_pair(sft, draws, side, k=k, dr=dr, dc=dc):
+                grids = sweep(sft, draws, side).reshape(-1, side + 1, side + 1)
+                mid = side // 2
+                grids[k, mid, mid] = grids[k, mid + dr, mid + dc] = 1
+                return grids
+
+            monkeypatch.setattr(harness, "_sweep", one_pair)
+            with pytest.raises(RuntimeError, match="inadmissible"):
+                sample_admissible_stack(sft, 3, [np.random.default_rng(i) for i in range(size)])
+            monkeypatch.undo()
+            assert len(sample_admissible_stack(sft, 3, [np.random.default_rng(0)] * size)) == size
 
 
 def test_sample_admissible_full_shift():
@@ -390,6 +433,44 @@ def test_run_experiment_determinism_and_jobs():
     b = run_experiment(cfg)
     assert a.csv_text == b.csv_text
     assert a.all_pass
+
+
+@pytest.mark.parametrize("per_chunk", [2, 3])
+@pytest.mark.parametrize("rule", ["smallest", "random"])
+def test_chunked_experiment_matches_trials_run_alone(monkeypatch, per_chunk, rule):
+    # chunks of 2 or 3 windows: trial counts on, just past and just short
+    # of a chunk boundary give the reports run_trial gives one at a time
+    n = 4
+    side = 2 * (n + 2) + 1
+    monkeypatch.setattr(harness, "CHUNK_SITES", per_chunk * side * side + side)
+    for k, sft in enumerate((HS, checkerboard(5), *TRIAL_SFTS[:2])):
+        for trials in (1, per_chunk, per_chunk + 1, 2 * per_chunk - 1, 2 * per_chunk + 1):
+            cfg = TrialConfig(sft=sft, n=n, rule=rule, seed=17 + k, trials=trials, corrupt_rate=0.3)
+            got = run_experiment(cfg).reports
+            want = [run_trial(cfg, i) for i in range(trials)]
+            assert len(got) == trials
+            for a, b in zip(got, want):
+                for f in dataclasses.fields(TrialReport):
+                    assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+                assert a.csv_row() == b.csv_row()
+
+
+def test_run_experiment_samples_chunks_in_one_sweep(monkeypatch):
+    # 11 windows a chunk at N = 24, two at N = 61 and one from N = 62 on
+    stacks = []
+    stack = harness.sample_admissible_stack
+
+    def recorded(sft, radius, rngs):
+        stacks.append(len(rngs))
+        return stack(sft, radius, rngs)
+
+    monkeypatch.setattr(harness, "sample_admissible_stack", recorded)
+    monkeypatch.setattr(harness, "run_trial", lambda cfg, i, sampled=None: None)
+    monkeypatch.setattr(harness, "render_csv", lambda reports: "")
+    for n, trials, want in ((24, 23, [11, 11, 1]), (61, 3, [2, 1]), (62, 2, [1, 1])):
+        stacks.clear()
+        run_experiment(TrialConfig(sft=HS, n=n, trials=trials))
+        assert stacks == want, n
 
 
 def test_csv_flags_recomputable_from_rows():

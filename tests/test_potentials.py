@@ -32,6 +32,7 @@ from _util import (
     random_ssf_sfts,
     random_window,
     reference_code_lookup,
+    reference_sample_perturbation,
     reference_seminorm,
 )
 
@@ -257,6 +258,22 @@ def test_patch_parts_h_matches_dict_lookup(q, support, filter_size):
     assert got.ravel().tobytes() == want.tobytes()
     if filter_size is not None:
         assert len(g._code_filter) == filter_size
+
+
+@pytest.mark.parametrize(
+    "q,support",
+    [(2, s) for s in (0, 1, 8, 300, 500, 512)]  # 512: every q = 2 pattern
+    + [(q, s) for q in (5, 64) for s in (0, 1, 8, 300, 500, 512, 10_000)],
+)
+def test_perturbation_rounds_draw_as_one_code_at_a_time(q, support):
+    # rounds of rng.integers draw the codes, the coefficients after them
+    # and the generator's next draw exactly as the one-code-a-time loop
+    seed = q * 100_003 + support
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_perturbation(1 / 384, support, q, got_rng)
+    want = reference_sample_perturbation(1 / 384, support, q, want_rng)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert got_rng.random() == want_rng.random()
 
 
 def test_patch_parts_finds_the_largest_code():
