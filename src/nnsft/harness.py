@@ -42,9 +42,9 @@ passing silently.
 
 All randomness derives from (master seed, trial index), so a trial's
 report does not depend on which trials ran before it, nor on how trials
-are chunked: run_experiment samples the windows of a chunk of trials in
-one sweep, each from its trial's own generator, which then goes on
-through the trial exactly as if it had sampled alone.
+are chunked: the first trial of a chunk samples the windows of all of
+its trials in one sweep, each from its trial's own generator, which
+then goes on through the trial exactly as if it had sampled alone.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ SHELL_SLACK_COEFF = 112.0  # per-shell allowance, in units of the norm gap
 SHELL_SITE_COEFF = 32.0    # per-bad-site degradation coefficient, likewise
 
 WINDOW_SITE_GUARD = 2**22  # largest sampled window or stack, in sites (radius 1023)
-# run_experiment samples its trials' windows in chunks of at most this
-# many sites (at least one window), each chunk in one sweep: 11 windows
-# at N = 24, one from N = 62 on
+# run_experiment's trials sample their windows in chunks of at most
+# this many sites (at least one window), each chunk in one sweep: 11
+# windows at N = 24, one from N = 62 on
 CHUNK_SITES = 2**15
 
 
@@ -586,22 +586,34 @@ CSV_HEADER = (
 )
 
 
-def run_trial(
-    cfg: TrialConfig,
-    index: int,
-    sampled: tuple[np.random.Generator, Window] | None = None,
-) -> TrialReport:
-    """Trial index of the configured experiment. sampled, when given, is
-    the trial's generator and the admissible window it has just drawn
-    (as sample_admissible_stack leaves them); otherwise both are made
-    here, to the same effect."""
+class TrialChunk:
+    """Consecutive trials of one experiment whose windows are sampled in
+    one sample_admissible_stack sweep, when the first of them takes its
+    window; each trial takes its own generator and window once."""
+
+    def __init__(self, cfg: TrialConfig, indices: range):
+        self.cfg = cfg
+        self.indices = indices
+        self._sampled: dict[int, tuple[np.random.Generator, Window]] | None = None
+
+    def take(self, index: int) -> tuple[np.random.Generator, Window]:
+        if self._sampled is None:
+            cfg = self.cfg
+            rngs = [np.random.default_rng(trial_seed(cfg.seed, i)) for i in self.indices]
+            windows = sample_admissible_stack(cfg.sft, cfg.window_radius, rngs)
+            self._sampled = dict(zip(self.indices, zip(rngs, windows)))
+        return self._sampled.pop(index)
+
+
+def run_trial(cfg: TrialConfig, index: int, chunk: TrialChunk | None = None) -> TrialReport:
+    """Trial index of the configured experiment. Its generator and
+    admissible window come from chunk, a chunk of one trial by default;
+    the report is the same for any chunk that holds the trial."""
     seed = trial_seed(cfg.seed, index)
     sft = cfg.sft
-    if sampled is None:
-        rng = np.random.default_rng(seed)
-        base = sample_admissible(sft, cfg.window_radius, rng)
-    else:
-        rng, base = sampled
+    if chunk is None:
+        chunk = TrialChunk(cfg, range(index, index + 1))
+    rng, base = chunk.take(index)
     corrupted = corrupt(base, sft.q, cfg.corrupt_rate, rng)
     h = sample_perturbation(cfg.cap, cfg.support_size, sft.q, rng)
     g = PerturbedPotential.build(sft, h)
@@ -681,15 +693,13 @@ def render_csv(reports: list[TrialReport]) -> str:
 def run_experiment(cfg: TrialConfig) -> ExperimentResult:
     """Run all configured trials in order, in the calling thread, in
     chunks of at most CHUNK_SITES window sites (at least one window):
-    sample_admissible_stack samples a chunk's windows in one sweep, and
-    then run_trial runs each of its trials from its own generator and
+    the first run_trial of a chunk samples all of the chunk's windows in
+    one sweep, and each trial goes on from its own generator and
     window."""
     side = 2 * cfg.window_radius + 1
     per_chunk = max(1, CHUNK_SITES // (side * side))
     reports = []
     for first in range(0, cfg.trials, per_chunk):
-        indices = range(first, min(first + per_chunk, cfg.trials))
-        rngs = [np.random.default_rng(trial_seed(cfg.seed, i)) for i in indices]
-        windows = sample_admissible_stack(cfg.sft, cfg.window_radius, rngs)
-        reports.extend(run_trial(cfg, i, (rng, w)) for i, rng, w in zip(indices, rngs, windows))
+        chunk = TrialChunk(cfg, range(first, min(first + per_chunk, cfg.trials)))
+        reports.extend(run_trial(cfg, i, chunk) for i in chunk.indices)
     return ExperimentResult(reports, render_csv(reports))

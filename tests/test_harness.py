@@ -456,18 +456,32 @@ def test_chunked_experiment_matches_trials_run_alone(monkeypatch, per_chunk, rul
 
 
 def test_run_experiment_samples_chunks_in_one_sweep(monkeypatch):
-    # 11 windows a chunk at N = 24, two at N = 61 and one from N = 62 on
-    stacks = []
+    # 11 windows a chunk at N = 24, two at N = 61 and one from N = 62 on;
+    # each sweep runs inside the run_trial of its chunk's first trial,
+    # so that a profile counts it as trial work
+    stacks, running = [], []
     stack = harness.sample_admissible_stack
 
     def recorded(sft, radius, rngs):
-        stacks.append(len(rngs))
+        stacks.append((running[-1], len(rngs)))
         return stack(sft, radius, rngs)
 
+    def trial(cfg, i, chunk=None):
+        running.append(i)
+        rng, w = chunk.take(i)
+        assert w.rect == Rect.centered(cfg.window_radius)
+        with pytest.raises(KeyError):
+            chunk.take(i)
+        running.pop()
+
     monkeypatch.setattr(harness, "sample_admissible_stack", recorded)
-    monkeypatch.setattr(harness, "run_trial", lambda cfg, i, sampled=None: None)
+    monkeypatch.setattr(harness, "run_trial", trial)
     monkeypatch.setattr(harness, "render_csv", lambda reports: "")
-    for n, trials, want in ((24, 23, [11, 11, 1]), (61, 3, [2, 1]), (62, 2, [1, 1])):
+    for n, trials, want in (
+        (24, 23, [(0, 11), (11, 11), (22, 1)]),
+        (61, 3, [(0, 2), (2, 1)]),
+        (62, 2, [(0, 1), (1, 1)]),
+    ):
         stacks.clear()
         run_experiment(TrialConfig(sft=HS, n=n, trials=trials))
         assert stacks == want, n
