@@ -53,7 +53,6 @@ from .potentials import (
     birkhoff_sum,
     certify_norm_gap,
     check_levelset_lipschitz,
-    lipschitz_norm_exact,
     lipschitz_seminorm_exact,
     sample_perturbation,
 )

@@ -69,13 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="SFT spec file, or built-in: hardsquare, checkerboard:<k>, full:<q>",
         )
 
+    def seed(text: str) -> int:
+        """The --seed type: a nonnegative integer, as numpy's generators
+        need. argparse prints the error after the flag's name."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {value}")
+        return value
+
     p_check = sub.add_parser("check", help="report SSF status and safe symbols")
     add_spec(p_check)
 
     p_sample = sub.add_parser("sample", help="sample an admissible window, optionally corrupted")
     add_spec(p_sample)
     p_sample.add_argument("--size", type=int, required=True, help="window radius")
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=seed, default=0)
     p_sample.add_argument("--corrupt", type=parse_ratio, default=0.0, metavar="RATE",
                           help="site resampling probability (default 0)")
     p_sample.add_argument("--out", help="write the window here instead of stdout")
@@ -86,14 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("--size", type=int, default=None,
                           help="repair radius N (default: largest the window supports)")
     p_repair.add_argument("--rule", choices=("smallest", "random"), default="smallest")
-    p_repair.add_argument("--seed", type=int, default=0, help="seed for --rule random")
+    p_repair.add_argument("--seed", type=seed, default=0, help="seed for --rule random")
     p_repair.add_argument("--out", help="write the repaired window here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run verification trials, emit CSV")
     add_spec(p_verify)
     p_verify.add_argument("--size", type=int, default=24, help="box radius N (default 24)")
     p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=seed, default=0)
     p_verify.add_argument("--epsilon", type=parse_ratio, default=DEFAULT_EPSILON,
                           help="nominal norm-gap hypothesis (default 1/64)")
     p_verify.add_argument("--cap", type=parse_ratio, default=DEFAULT_CAP,

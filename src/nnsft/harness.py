@@ -114,6 +114,9 @@ class TrialConfig:
             raise ValueError("perturbation support size must be >= 0")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        # a NaN makes the hypothesis test below False; an infinite epsilon passes any cap
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.cap)):
+            raise ValueError("epsilon and cap must be finite")
         if 5.0 * self.cap > self.epsilon and not self.allow_out_of_hypothesis:
             raise ValueError(
                 f"5*cap = {5.0 * self.cap} exceeds epsilon = {self.epsilon}; "

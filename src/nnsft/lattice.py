@@ -74,9 +74,6 @@ class Rect:
         """Grow (or shrink, k < 0) by k sites on every edge."""
         return Rect(self.x0 - k, self.y0 - k, self.width + 2 * k, self.height + 2 * k)
 
-    def translate(self, v: Site) -> "Rect":
-        return Rect(self.x0 + v[0], self.y0 + v[1], self.width, self.height)
-
     def sites(self) -> Iterator[Site]:
         """Row-major iteration, top row first."""
         for y in range(self.y1, self.y0 - 1, -1):
@@ -134,10 +131,6 @@ class Window:
             arr[r, c] = a
         return Window(self.rect, arr, _copy=False)
 
-    def translate(self, v: Site) -> "Window":
-        """Carry every symbol along v: site u + v holds this window's value at u."""
-        return Window(self.rect.translate(v), self.array, _copy=False)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Window):
             return NotImplemented
@@ -167,12 +160,6 @@ class MetricResult:
     @property
     def is_agreement(self) -> bool:
         return self.exact is None
-
-    @property
-    def upper_bound(self) -> Fraction:
-        if self.radius >= 0:
-            return Fraction(1, 2**self.radius)
-        return Fraction(2 ** (-self.radius), 1)
 
     @property
     def value(self) -> Fraction:

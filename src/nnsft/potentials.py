@@ -32,10 +32,11 @@ pairwise maximum of the rounded |c_p - c_p'| to the bit.
 
 Norm convention: ||h||_Lip = sup|h| + Lip(h).
 
-Analytic bound, the certified gap for supports over
-SEMINORM_ENUM_GUARD: configurations agreeing on the 3x3 patch have equal
-h, so any pair with h(x) != h(y) differs inside the patch and has
-d(x, y) >= 1/2; hence Lip(h) <= 2*cap / (1/2) = 4*cap and
+certify_norm_gap, the certified gap, is that sum, the largest |c| plus
+the seminorm above, up to SEMINORM_ENUM_GUARD stored patterns. Beyond
+it is the analytic bound: configurations agreeing on the 3x3 patch
+have equal h, so any pair with h(x) != h(y) differs inside the patch
+and has d(x, y) >= 1/2; hence Lip(h) <= 2*cap / (1/2) = 4*cap and
 ||h||_Lip <= cap + 4*cap = 5*cap.
 """
 
@@ -87,40 +88,18 @@ class RangeOnePerturbation:
         return len(self.coeffs)
 
 
-def zero_perturbation(cap: float = 1.0) -> RangeOnePerturbation:
-    return RangeOnePerturbation({}, cap)
-
-
-@dataclass(frozen=True)
-class LipschitzNorm:
-    sup_norm: float
-    seminorm: float
-
-    def __post_init__(self) -> None:
-        if self.sup_norm < 0 or self.seminorm < 0:
-            raise ValueError("norm components must be >= 0")
-
-    @property
-    def total(self) -> float:
-        return self.sup_norm + self.seminorm
-
-
-def sup_norm_exact(h: RangeOnePerturbation) -> float:
-    return max((abs(c) for c in h.coeffs.values()), default=0.0)
-
-
 def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
     """Exact Lipschitz seminorm of a range-1 function over alphabet 0..q-1,
     from each center's coefficient extremes (see the module docstring).
 
-    Guarded at SEMINORM_ENUM_GUARD stored patterns, beyond which the
-    certified gap is analytic_norm_bound.
+    Guarded at SEMINORM_ENUM_GUARD stored patterns, beyond which
+    certify_norm_gap gives the 5*cap bound instead.
     """
     n = len(h.coeffs)
     if n > SEMINORM_ENUM_GUARD:
         raise ValueError(
             f"{n} patterns exceed the enumeration guard "
-            f"({SEMINORM_ENUM_GUARD}); use analytic_norm_bound instead"
+            f"({SEMINORM_ENUM_GUARD}); certify_norm_gap bounds the norm by 5*cap there"
         )
     if n == 0:
         return 0.0
@@ -138,15 +117,6 @@ def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
         hi, lo = np.append(hi, 0.0), np.append(lo, 0.0)
     # the leading 0.0 keeps a zero seminorm +0.0
     return float(max(0.0, 2.0 * (hi - lo).max(), hi.max() - lo.min()))
-
-
-def lipschitz_norm_exact(h: RangeOnePerturbation, q: int) -> LipschitzNorm:
-    return LipschitzNorm(sup_norm_exact(h), lipschitz_seminorm_exact(h, q))
-
-
-def analytic_norm_bound(h: RangeOnePerturbation) -> float:
-    """cap + 4*cap; see the module docstring for the derivation."""
-    return 5.0 * h.cap
 
 
 @dataclass
@@ -227,8 +197,8 @@ class PerturbedPotential:
         coefficients in the same order."""
         q = self.sft.q
         pats = _pattern_array(self.h.coeffs, q)
-        if len(pats) and q**9 > 2**63:
-            raise ValueError("alphabet too large to index 3x3 patterns")
+        if len(pats):
+            _check_code_range(q)
         codes = _pattern_codes(pats.T, q)
         order = np.argsort(codes)  # codes are unique: no ties to break
         vals = np.fromiter(self.h.coeffs.values(), float, len(pats))
@@ -249,12 +219,13 @@ class PerturbedPotential:
 
 
 def certify_norm_gap(h: RangeOnePerturbation, q: int) -> float:
-    """Upper bound on ||h||_Lip over alphabet 0..q-1: exact sup +
-    seminorm up to SEMINORM_ENUM_GUARD stored patterns, the 5*cap
-    analytic bound beyond."""
+    """Upper bound on ||h||_Lip over alphabet 0..q-1: the exact sup norm
+    plus the exact seminorm up to SEMINORM_ENUM_GUARD stored patterns,
+    the 5*cap analytic bound beyond (see the module docstring)."""
     if h.support_size <= SEMINORM_ENUM_GUARD:
-        return lipschitz_norm_exact(h, q).total
-    return analytic_norm_bound(h)
+        sup = max((abs(c) for c in h.coeffs.values()), default=0.0)
+        return sup + lipschitz_seminorm_exact(h, q)
+    return 5.0 * h.cap
 
 
 def _pattern_array(coeffs: dict[Pattern, float], q: int) -> np.ndarray:
@@ -269,6 +240,13 @@ def _pattern_array(coeffs: dict[Pattern, float], q: int) -> np.ndarray:
         bad = next(p for p in coeffs if max(p) >= q)
         raise ValueError(f"pattern {bad!r} has symbols outside alphabet 0..{q - 1}")
     return pats.reshape(-1, 9)
+
+
+def _check_code_range(q: int) -> None:
+    """Refuse an alphabet whose 3x3 pattern codes, 0..q**9 - 1, do not
+    all fit an int64: q > 128."""
+    if q**9 > 2**63:
+        raise ValueError("alphabet too large to index 3x3 patterns")
 
 
 def _pattern_codes(patch: Sequence[np.ndarray], q: int) -> np.ndarray:
@@ -329,8 +307,7 @@ def sample_perturbation(
         raise ValueError("cap must be positive and finite")
     if q < 1:
         raise ValueError("alphabet size must be >= 1")
-    if q**9 >= 2**62:
-        raise ValueError("alphabet too large to index 3x3 patterns")
+    _check_code_range(q)
     total = q**9
     if support_size > total:
         raise ValueError(f"support_size {support_size} exceeds the {total} distinct patterns")

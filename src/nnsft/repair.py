@@ -92,10 +92,6 @@ class ShellDecomposition:
     i: int
     runs: dict[str, tuple[Run, ...]] = field(default_factory=dict)
 
-    @cached_property
-    def total_bad(self) -> int:
-        return sum(len(r) for side in SIDES for r in self.runs.get(side, ()))
-
     def iter_runs(self):
         for side in SIDES:
             yield from self.runs.get(side, ())

@@ -219,7 +219,7 @@ def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):
         )
         still_bad = pair_scan_bad_sites(prev, g.sft)
         pending = sum(1 for u in dec.sites() if u in still_bad)
-        rows.append((dec.total_bad, pending, observed))
+        rows.append((len(dec.sites()), pending, observed))
     return rows
 
 

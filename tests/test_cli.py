@@ -95,6 +95,19 @@ def test_input_errors_exit_2(tmp_path):
         assert res.returncode == 2, args
         assert "Traceback" not in res.stderr, args
         assert "error:" in res.stderr.splitlines()[-1], args
+    # a negative seed: one argparse type names the flag, for the rule
+    # smallest too, which draws nothing
+    clean = tmp_path / "clean.txt"
+    clean.write_text("window -2 -2 5 5\n" + "0 0 0 0 0\n" * 5)
+    for args in (
+        ("sample", "--spec", "hardsquare", "--size", "2", "--seed", "-1"),
+        ("verify", "--spec", "hardsquare", "--size", "2", "--trials", "1", "--seed", "-1"),
+        ("repair", "--spec", "hardsquare", "--window", str(clean), "--rule", "random", "--seed", "-1"),
+        ("repair", "--spec", "hardsquare", "--window", str(clean), "--seed", "-5"),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert "argument --seed: must be a nonnegative integer" in res.stderr.splitlines()[-1], args
 
 
 def test_sample_and_repair_round_trip(tmp_path):

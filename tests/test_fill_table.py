@@ -118,5 +118,5 @@ def test_repair_matches_per_site_reference(k, n, rate, rule, seed):
     res = repair(w, sft, n, rule=rule, rng=np.random.default_rng(seed))
     window, shells = reference_repair(w, sft, n, rule, np.random.default_rng(seed))
     assert res.shells == shells
-    assert res.shell_sizes == [d.total_bad for d in shells]
+    assert res.shell_sizes == [len(d.sites()) for d in shells]
     assert res.window == window

@@ -26,7 +26,7 @@ from nnsft.harness import (
     trial_seed,
 )
 from nnsft.lattice import Rect, Window, render_window
-from nnsft.potentials import PerturbedPotential, birkhoff_sum, sample_perturbation, zero_perturbation
+from nnsft.potentials import PerturbedPotential, RangeOnePerturbation, birkhoff_sum, sample_perturbation
 from nnsft.repair import RepairResult, repair
 from nnsft.sft import NnSft, bad_site_mask, bad_sites, checkerboard, full_shift, hard_square, violations
 
@@ -48,7 +48,7 @@ HS = hard_square()
 
 
 def _zero_g(sft=HS):
-    return PerturbedPotential.build(sft, zero_perturbation())
+    return PerturbedPotential.build(sft, RangeOnePerturbation({}, 1.0))
 
 
 def test_trial_config_validation():
@@ -60,6 +60,18 @@ def test_trial_config_validation():
         TrialConfig(sft=HS, corrupt_rate=1.5)
     with pytest.raises(ValueError, match="support"):
         TrialConfig(sft=HS, support_size=-1)
+
+
+def test_trial_config_refuses_non_finite_epsilon_and_cap():
+    # a NaN epsilon or cap makes 5*cap > epsilon False, which would switch
+    # the hypothesis guard off; an infinite epsilon would admit any cap
+    for epsilon, cap in (
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (1 / 64, math.nan), (1 / 64, math.inf), (1 / 64, -math.inf), (math.inf, math.inf),
+    ):
+        for allow in (False, True):
+            with pytest.raises(ValueError, match="finite"):
+                TrialConfig(sft=HS, epsilon=epsilon, cap=cap, allow_out_of_hypothesis=allow)
 
 
 def test_sample_admissible():
@@ -201,7 +213,8 @@ def test_shell_gaps_mismatched_domains():
     w = Window.filled(Rect.centered(6), 0)
     res = repair(w, HS, 4)
     with pytest.raises(ValueError, match="domains"):
-        check_shell_gaps(g, w, res.window.translate((1, 0)), res.shell_sizes, Rect.centered(4))
+        moved = Window(Rect(-5, -6, 13, 13), res.window.array)
+        check_shell_gaps(g, w, moved, res.shell_sizes, Rect.centered(4))
     with pytest.raises(ValueError, match="insufficient margin"):
         check_shell_gaps(g, w, res.window, res.shell_sizes, Rect.centered(6))
 
@@ -252,7 +265,7 @@ def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, suppo
     region = Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
     g = PerturbedPotential.build(sft, sample_perturbation(0.01, min(support, q**9), q, rng))
     shells = [reference_decompose(w, sft, i) for i in range(n + 1)]
-    rep = check_shell_gaps(g, w, out, [dec.total_bad for dec in shells], region)
+    rep = check_shell_gaps(g, w, out, [len(dec.sites()) for dec in shells], region)
     ys = rect.y1 - np.arange(rect.height)
     xs = rect.x0 + np.arange(rect.width)
     norm = np.maximum.outer(np.abs(ys), np.abs(xs))

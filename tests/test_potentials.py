@@ -13,15 +13,11 @@ from nnsft.potentials import (
     PerturbedPotential,
     RangeOnePerturbation,
     SEMINORM_ENUM_GUARD,
-    analytic_norm_bound,
     birkhoff_sum,
     certify_norm_gap,
     check_levelset_lipschitz,
-    lipschitz_norm_exact,
     lipschitz_seminorm_exact,
     sample_perturbation,
-    sup_norm_exact,
-    zero_perturbation,
 )
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square
 
@@ -37,10 +33,11 @@ from _util import (
 )
 
 HS = hard_square()
+ZERO = RangeOnePerturbation({}, 1.0)
 
 
 def _g(sft=HS, h=None):
-    return PerturbedPotential.build(sft, h if h is not None else zero_perturbation())
+    return PerturbedPotential.build(sft, h if h is not None else ZERO)
 
 
 def test_patch_offsets_order():
@@ -105,7 +102,7 @@ def test_penalty_level_constancy():
 
 
 def test_seminorm_trivial_cases():
-    assert lipschitz_seminorm_exact(zero_perturbation(), 2) == 0.0
+    assert lipschitz_seminorm_exact(ZERO, 2) == 0.0
     h = RangeOnePerturbation({(0,) * 9: 0.003}, cap=0.003)
     # an absent pattern differing only off-center exists, so factor 2
     assert lipschitz_seminorm_exact(h, 2) == pytest.approx(0.006)
@@ -263,7 +260,8 @@ def test_patch_parts_h_matches_dict_lookup(q, support, filter_size):
 @pytest.mark.parametrize(
     "q,support",
     [(2, s) for s in (0, 1, 8, 300, 500, 512)]  # 512: every q = 2 pattern
-    + [(q, s) for q in (5, 64) for s in (0, 1, 8, 300, 500, 512, 10_000)],
+    + [(q, s) for q in (5, 64) for s in (0, 1, 8, 300, 500, 512, 10_000)]
+    + [(q, s) for q in (119, 128) for s in (1, 300)],  # q = 128: codes reach 2**63 - 1
 )
 def test_perturbation_rounds_draw_as_one_code_at_a_time(q, support):
     # rounds of rng.integers draw the codes, the coefficients after them
@@ -300,10 +298,16 @@ def test_code_lookup_refuses_symbols_outside_alphabet():
         g = PerturbedPotential.build(sft, RangeOnePerturbation({**many, pat: 0.001}, 1 / 384))
         with pytest.raises(ValueError, match="outside alphabet"):
             g._code_lookup
-    # past q = 128 the int64 codes of patch_parts would wrap
+    # past q = 128 the int64 pattern codes would wrap: the lookup and the
+    # sampler refuse, the sampler before any draw
     g = PerturbedPotential.build(full_shift(129), RangeOnePerturbation({(0,) * 9: 0.001}, 1 / 384))
     with pytest.raises(ValueError, match="alphabet too large"):
         g._code_lookup
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="alphabet too large"):
+        sample_perturbation(1 / 384, 1, 129, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_non_finite_values_refused():
@@ -330,19 +334,25 @@ def test_analytic_bound_soundness():
         h = sample_perturbation(1 / 384, int(rng.integers(0, 30)), q, rng)
         semi = lipschitz_seminorm_exact(h, q)
         assert semi <= 4.0 * h.cap + 1e-15
-        assert sup_norm_exact(h) <= h.cap
+        assert max((abs(c) for c in h.coeffs.values()), default=0.0) <= h.cap
 
 
 def test_certify_norm_gap():
     g = _g()
     assert g.gap == 0.0
-    assert analytic_norm_bound(RangeOnePerturbation({}, cap=0.002)) == pytest.approx(0.010)
     for seed in range(50):
         h = sample_perturbation(1 / 384, 8, 2, seed)
         g = PerturbedPotential.build(HS, h)
-        assert g.gap == certify_norm_gap(h, 2) == lipschitz_norm_exact(h, 2).total
+        sup = max(abs(c) for c in h.coeffs.values())
+        assert g.gap == certify_norm_gap(h, 2) == sup + lipschitz_seminorm_exact(h, 2)
         assert g.gap < 1 / 64
         assert g.gap <= 5.0 * h.cap + 1e-15
+    # exact at the guard, the analytic bound cap + 4*cap over it
+    h = sample_perturbation(0.002, SEMINORM_ENUM_GUARD, 3, 0)
+    sup = max(abs(c) for c in h.coeffs.values())
+    assert certify_norm_gap(h, 3) == sup + lipschitz_seminorm_exact(h, 3) < 5.0 * 0.002
+    h = sample_perturbation(0.002, SEMINORM_ENUM_GUARD + 1, 3, 0)
+    assert certify_norm_gap(h, 3) == 5.0 * 0.002
 
 
 def test_birkhoff_examples():
@@ -414,9 +424,11 @@ def test_birkhoff_shift_covariance():
     g = PerturbedPotential.build(HS, h)
     w = random_window(Rect.centered(6), 2, rng)
     region = Rect.centered(2)
-    for v in ((1, 0), (0, -2), (-2, 1)):
-        lhs = birkhoff_sum(g, w.translate(v), region)
-        rhs = birkhoff_sum(g, w, region.translate((-v[0], -v[1])))
+    r = w.rect
+    for dx, dy in ((1, 0), (0, -2), (-2, 1)):
+        moved = Window(Rect(r.x0 + dx, r.y0 + dy, r.width, r.height), w.array)
+        lhs = birkhoff_sum(g, moved, region)
+        rhs = birkhoff_sum(g, w, Rect(region.x0 - dx, region.y0 - dy, region.width, region.height))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -470,9 +482,3 @@ def test_levelset_lipschitz_random_pairs():
             assert res.ok
             assert res.worst_slack >= 0.0
 
-
-def test_lipschitz_norm_object():
-    h = sample_perturbation(0.01, 6, 2, seed=8)
-    norm = lipschitz_norm_exact(h, 2)
-    assert norm.total == norm.sup_norm + norm.seminorm
-    assert norm.sup_norm >= 0 and norm.seminorm >= 0

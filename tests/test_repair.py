@@ -35,7 +35,7 @@ def test_decompose_single_bad_site():
     dec = repair(w, hs, 2).shells[2]
     assert dec.runs["top"] == (Run("top", 2, 2, 2),)
     assert "bottom" not in dec.runs and "right" not in dec.runs and "left" not in dec.runs
-    assert dec.total_bad == 1
+    assert len(dec.sites()) == 1
 
 
 def test_decompose_top_runs_ordered():
@@ -47,12 +47,12 @@ def test_decompose_top_runs_ordered():
     w = Window.filled(Rect.centered(4), 0).with_patch(patch)
     dec = repair(w, hs, 3).shells[3]
     assert dec.runs["top"] == (Run("top", 3, -1, 0), Run("top", 3, 2, 2))
-    assert dec.total_bad == 3
+    assert len(dec.sites()) == 3
 
 
 def test_decompose_admissible_window():
     dec = repair(Window.filled(Rect.centered(4), 0), hard_square(), 3).shells[3]
-    assert dec.is_empty and dec.total_bad == 0
+    assert dec.is_empty and not dec.sites()
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nnsft.lattice import Rect, Window
-from nnsft.potentials import PerturbedPotential, zero_perturbation
+from nnsft.potentials import PerturbedPotential, RangeOnePerturbation
 from nnsft.sft import (
     NnSft,
     SftParseError,
@@ -82,7 +82,7 @@ def test_bad_sites_matches_pair_scan_oracle():
 
 def test_penalty_at():
     # the penalty is the zero-perturbation potential: -1 at a bad site, 0 elsewhere
-    g = PerturbedPotential.build(hard_square(), zero_perturbation())
+    g = PerturbedPotential.build(hard_square(), RangeOnePerturbation({}, 1.0))
     w = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1, (1, 0): 1})
     assert g.value(w, 0, 0) == -1.0
     assert g.value(Window.filled(Rect.centered(2), 0), 0, 0) == 0.0
@@ -95,7 +95,7 @@ def test_penalty_at():
 def test_penalty_matches_bad_sites():
     rng = np.random.default_rng(41)
     hs = hard_square()
-    g = PerturbedPotential.build(hs, zero_perturbation())
+    g = PerturbedPotential.build(hs, RangeOnePerturbation({}, 1.0))
     inner = list(Rect.centered(2).sites())
     xs, ys = np.array(inner).T
     for _ in range(20):
