@@ -31,7 +31,6 @@ from .harness import (
     TrialReport,
     check_average_bounds,
     check_shell_gaps,
-    check_total_gap,
     corrupt,
     run_experiment,
     run_trial,
@@ -68,7 +67,6 @@ from .sft import (
     BadSites,
     NnSft,
     SftParseError,
-    Violation,
     bad_sites,
     check_ssf,
     checkerboard,
@@ -79,7 +77,6 @@ from .sft import (
     local_implies_global,
     parse_sft,
     render_sft,
-    violations,
 )
 
 __version__ = "0.1.0"

@@ -25,12 +25,7 @@ from .harness import (
 )
 from .lattice import parse_window, render_window
 from .repair import repair
-from .sft import (
-    check_ssf,
-    find_safe_symbols,
-    load_sft,
-    local_implies_global,
-)
+from .sft import find_safe_symbols, load_sft, local_implies_global
 
 
 def parse_ratio(text: str) -> float:
@@ -125,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     sft = load_sft(args.spec)
-    res = check_ssf(sft)
+    res = sft.ssf  # cached: local_implies_global reads it again
     print(f"ssf: {'true' if res.ok else 'false'}")
     if not res.ok:
         n, s, e, w = res.witness
@@ -140,7 +135,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     sft = load_sft(args.spec)
     rng = np.random.default_rng(args.seed)
     w = sample_admissible(sft, args.size, rng)
-    if args.corrupt > 0:
+    if args.corrupt:  # rate 0 draws nothing; corrupt refuses one outside [0, 1]
         w = corrupt(w, sft.q, args.corrupt, rng)
     text = render_window(w)
     if args.out:

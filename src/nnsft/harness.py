@@ -30,10 +30,9 @@ window, two mixed states and the repaired window, and its report also
 carries the region's bad count and windowed sum in the corrupted and
 repaired windows, and the number of sites repair changed other than the
 corrupted window's bad sites in the region. From those run_trial builds
-the corrupted window's average bound and the total bound, through the
-same helpers as check_average_bounds and check_total_gap, and its
-locality and cleanliness checks, so it builds no bad-site mask of its
-own.
+the corrupted window's average bound, through the same helper as
+check_average_bounds, the total bound, and its locality and
+cleanliness checks, so it builds no bad-site mask of its own.
 
 The normalized total bound is asymptotic in N: at small N its right
 side drops below zero and the check is vacuous. The harness labels that
@@ -59,7 +58,6 @@ from .lattice import Rect, Window
 from .potentials import (
     PATCH_CENTER,
     PerturbedPotential,
-    birkhoff_sum,
     region_patches,
     sample_perturbation,
 )
@@ -103,7 +101,6 @@ class TrialConfig:
     seed: int = 0
     trials: int = 1
     rule: str = "smallest"
-    allow_out_of_hypothesis: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -117,11 +114,10 @@ class TrialConfig:
         # a NaN makes the hypothesis test below False; an infinite epsilon passes any cap
         if not (math.isfinite(self.epsilon) and math.isfinite(self.cap)):
             raise ValueError("epsilon and cap must be finite")
-        if 5.0 * self.cap > self.epsilon and not self.allow_out_of_hypothesis:
+        if 5.0 * self.cap > self.epsilon:
             raise ValueError(
                 f"5*cap = {5.0 * self.cap} exceeds epsilon = {self.epsilon}; "
-                "the certified gap may leave the hypothesis "
-                "(pass allow_out_of_hypothesis=True to explore anyway)"
+                "the certified gap may leave the hypothesis"
             )
 
     @property
@@ -495,18 +491,6 @@ class TotalBoundReport:
     @property
     def ok(self) -> bool:
         return self.raw_ok and self.normalized_ok
-
-
-def check_total_gap(
-    g: PerturbedPotential,
-    original: Window,
-    repaired: Window,
-    shell_sizes: list[int],
-    region: Rect,
-    n: int,
-) -> TotalBoundReport:
-    before, after = birkhoff_sum(g, original, region), birkhoff_sum(g, repaired, region)
-    return _total_report(g.gap, sum(shell_sizes), before, after, region.area, n)
 
 
 def _total_report(

@@ -65,6 +65,7 @@ PATCH_CENTER = 4  # index of (0, 0) in PATCH_OFFSETS
 _UP, _RIGHT = 1, 5  # indices of (0, 1) and (1, 0)
 
 SEMINORM_ENUM_GUARD = 10_000
+SUPPORT_GUARD = 2**21  # largest sampled perturbation support, in patterns
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,8 @@ def sample_perturbation(
 
     Pattern codes are drawn in rounds of as many as are still missing,
     keeping first occurrences: the same draws, in the same order, as one
-    code at a time until support_size distinct ones are found."""
+    code at a time until support_size distinct ones are found. A support
+    over SUPPORT_GUARD patterns is refused before any draw."""
     if not 0 < cap < inf:
         raise ValueError("cap must be positive and finite")
     if q < 1:
@@ -311,6 +313,8 @@ def sample_perturbation(
     total = q**9
     if support_size > total:
         raise ValueError(f"support_size {support_size} exceeds the {total} distinct patterns")
+    if support_size > SUPPORT_GUARD:
+        raise ValueError(f"support_size {support_size} is over the sampling guard ({SUPPORT_GUARD})")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seen: set[int] = set()
     codes: list[int] = []

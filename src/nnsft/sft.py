@@ -129,12 +129,6 @@ class SsfResult:
 
 
 @dataclass(frozen=True)
-class Violation:
-    site: Site  # lower/left endpoint of the forbidden pair
-    direction: Literal["horizontal", "vertical"]
-
-
-@dataclass(frozen=True)
 class BadSites:
     sites: frozenset[Site]
     evaluable: Rect | None  # None when the window is too thin to evaluate anywhere
@@ -158,32 +152,6 @@ def _check_symbols(w: Window, sft: NnSft) -> None:
         r, c = map(int, np.argwhere(bad)[0])
         site = (w.rect.x0 + c, w.rect.y1 - r)
         raise SymbolRangeError(site, int(arr[r, c]), sft.q)
-
-
-def violations(w: Window, sft: NnSft) -> list[Violation]:
-    """All forbidden adjacent pairs with both endpoints stored.
-
-    Ordered by lower/left endpoint, row-major top row first, horizontal
-    before vertical at the same site. Empty iff w is locally admissible.
-    """
-    _check_symbols(w, sft)
-    arr = w.array
-    found: list[tuple[int, int, int]] = []  # (row, col, 0=horizontal 1=vertical)
-    if w.rect.width > 1:
-        for r, c in np.argwhere(sft.h_table[arr[:, :-1], arr[:, 1:]]):
-            found.append((int(r), int(c), 0))
-    if w.rect.height > 1:
-        # vertical pair (u, u+e2): u sits one row below its partner
-        for r, c in np.argwhere(sft.v_table[arr[1:, :], arr[:-1, :]]):
-            found.append((int(r) + 1, int(c), 1))
-    found.sort()
-    return [
-        Violation(
-            (w.rect.x0 + c, w.rect.y1 - r),
-            "horizontal" if d == 0 else "vertical",
-        )
-        for r, c, d in found
-    ]
 
 
 def bad_site_mask(w: Window, sft: NnSft) -> tuple[np.ndarray, Rect | None]:

@@ -12,9 +12,9 @@ from nnsft import NnSft, Rect, Run, ShellDecomposition, Window, check_ssf
 from nnsft.entropy import TOL_FLOOR, ConvergenceError, EmptySubshiftError, StripEntropyResult
 from nnsft.harness import (
     TrialReport,
+    _total_report,
     check_average_bounds,
     check_shell_gaps,
-    check_total_gap,
     corrupt,
     sample_admissible,
     trial_seed,
@@ -23,6 +23,7 @@ from nnsft.potentials import (
     PATCH_CENTER,
     PerturbedPotential,
     RangeOnePerturbation,
+    birkhoff_sum,
     sample_perturbation,
 )
 from nnsft.repair import repair
@@ -78,16 +79,29 @@ def random_sft(rng: np.random.Generator, q_hi: int = 5) -> NnSft:
     )
 
 
-def pair_scan_bad_sites(w: Window, sft: NnSft) -> set[tuple[int, int]]:
-    """Independent bad-site oracle: direct per-site pair lookups."""
+def forbidden_pairs(w: Window, sft: NnSft) -> set[tuple[tuple[int, int], str]]:
+    """Independent pair oracle: every stored adjacent pair looked up site
+    by site; the forbidden ones as (lower/left site, "horizontal" or
+    "vertical")."""
     out = set()
     rect = w.rect
-    for y in range(rect.y0, rect.y1):
-        for x in range(rect.x0, rect.x1):
+    for y in range(rect.y0, rect.y1 + 1):
+        for x in range(rect.x0, rect.x1 + 1):
             a = w.get((x, y))
-            if (a, w.get((x + 1, y))) in sft.hforbid or (a, w.get((x, y + 1))) in sft.vforbid:
-                out.add((x, y))
+            if x < rect.x1 and (a, w.get((x + 1, y))) in sft.hforbid:
+                out.add(((x, y), "horizontal"))
+            if y < rect.y1 and (a, w.get((x, y + 1))) in sft.vforbid:
+                out.add(((x, y), "vertical"))
     return out
+
+
+def pair_scan_bad_sites(w: Window, sft: NnSft) -> set[tuple[int, int]]:
+    """Independent bad-site oracle: the lower/left sites of forbidden
+    pairs whose right and up neighbors are both stored."""
+    rect = w.rect
+    return {
+        (x, y) for (x, y), _ in forbidden_pairs(w, sft) if x < rect.x1 and y < rect.y1
+    }
 
 
 def patch_admissible_around(
@@ -226,9 +240,10 @@ def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):
 def reference_run_trial(cfg, index: int):
     """A trial assembled from the public checks, as run_trial did before
     it shared one evaluation per window state: check_average_bounds on
-    the base and on the corrupted window, check_shell_gaps,
-    check_total_gap, and bad-site masks of the corrupted and repaired
-    windows for the cross-check, locality and cleanliness."""
+    the base and on the corrupted window, check_shell_gaps, the total
+    bound from birkhoff_sum on the corrupted and repaired windows, and
+    bad-site masks of those windows for the cross-check, locality and
+    cleanliness."""
     seed = trial_seed(cfg.seed, index)
     rng = np.random.default_rng(seed)
     sft = cfg.sft
@@ -262,8 +277,13 @@ def reference_run_trial(cfg, index: int):
         admissible_check=check_average_bounds(g, base, region),
         corrupted_check=check_average_bounds(g, corrupted, region),
         shell_check=check_shell_gaps(g, corrupted, result.window, result.shell_sizes, region),
-        total_check=check_total_gap(
-            g, corrupted, result.window, result.shell_sizes, region, cfg.n
+        total_check=_total_report(
+            g.gap,
+            bad_total,
+            birkhoff_sum(g, corrupted, region),
+            birkhoff_sum(g, result.window, region),
+            region.area,
+            cfg.n,
         ),
         repaired_clean=not bad_site_mask(result.window, sft)[0][cut].any(),
         locality_ok=not (changed & ~bad_in_region).any(),

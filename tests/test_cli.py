@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import pytest
 
 from nnsft.cli import main, parse_ratio
 from nnsft.lattice import parse_window
-from nnsft.sft import NnSft, bad_sites, hard_square, parse_sft, render_sft, violations
+from nnsft.sft import NnSft, bad_sites, hard_square, parse_sft, render_sft
+
+from _util import forbidden_pairs
 
 
 def run_cli(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
@@ -75,6 +78,8 @@ def test_input_errors_exit_2(tmp_path):
         ("verify", "--spec", "hardsquare", "--cap", "inf", "--epsilon", "inf"),
         ("verify", "--spec", "hardsquare", "--epsilon", "nan"),
         ("verify", "--spec", "hardsquare", "--support", "-1"),
+        # a perturbation support over the sampling guard, refused before it is drawn
+        ("verify", "--spec", "checkerboard:64", "--size", "4", "--trials", "1", "--support", "2097153"),
         ("verify", "--spec", "hardsquare", "--jobs", "0"),
         ("sample", "--spec", "hardsquare", "--size", "-1"),
         # windows over the sampling guard are refused before any allocation
@@ -136,7 +141,37 @@ def test_sample_stdout_admissible():
     w = parse_window(res.stdout)
     from nnsft.sft import checkerboard
 
-    assert violations(w, checkerboard(5)) == []
+    assert forbidden_pairs(w, checkerboard(5)) == set()
+
+
+def test_sample_corrupt_rate_outside_unit_interval_exits_2(capsys):
+    # a rate of 0 (or -0) prints the uncorrupted window; one outside
+    # [0, 1] is refused with one error line, as verify refuses it
+    args = ["sample", "--spec", "hardsquare", "--size", "4", "--seed", "5"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    for rate in ("0", "-0"):
+        assert main([*args, "--corrupt", rate]) == 0
+        assert capsys.readouterr().out == plain
+    for rate in ("-0.5", "1.5"):
+        assert main([*args, "--corrupt", rate]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: corrupt rate must be in [0, 1]\n"
+
+
+def test_check_runs_the_ssf_check_once(monkeypatch, capsys):
+    sft_module = importlib.import_module("nnsft.sft")
+    real, calls = sft_module.check_ssf, []
+
+    def counting(sft):
+        calls.append(sft.q)
+        return real(sft)
+
+    monkeypatch.setattr(sft_module, "check_ssf", counting)
+    monkeypatch.setattr("nnsft.cli.check_ssf", counting, raising=False)
+    assert main(["check", "--spec", "checkerboard:5"]) == 0
+    assert calls == [5]
+    assert capsys.readouterr().out == "ssf: true\nsafe_symbols: []\nlocal_implies_global: true\n"
 
 
 def test_repair_out_file_summary(tmp_path):

@@ -13,9 +13,9 @@ from nnsft.harness import (
     WINDOW_SITE_GUARD,
     TrialConfig,
     TrialReport,
+    _total_report,
     check_average_bounds,
     check_shell_gaps,
-    check_total_gap,
     corrupt,
     render_csv,
     run_experiment,
@@ -28,9 +28,10 @@ from nnsft.harness import (
 from nnsft.lattice import Rect, Window, render_window
 from nnsft.potentials import PerturbedPotential, RangeOnePerturbation, birkhoff_sum, sample_perturbation
 from nnsft.repair import RepairResult, repair
-from nnsft.sft import NnSft, bad_site_mask, bad_sites, checkerboard, full_shift, hard_square, violations
+from nnsft.sft import NnSft, bad_site_mask, bad_sites, checkerboard, full_shift, hard_square
 
 from _util import (
+    forbidden_pairs,
     pair_scan_bad_sites,
     random_sft,
     random_ssf_sfts,
@@ -55,7 +56,10 @@ def test_trial_config_validation():
     TrialConfig(sft=HS)
     with pytest.raises(ValueError, match="hypothesis"):
         TrialConfig(sft=HS, cap=1 / 64)
-    TrialConfig(sft=HS, cap=1 / 64, allow_out_of_hypothesis=True)
+    # epsilon is read only by the hypothesis check: out-of-hypothesis caps
+    # run with it at 5*cap
+    for cap in (1 / 64, 0.5):
+        TrialConfig(sft=HS, epsilon=5 * cap, cap=cap)
     with pytest.raises(ValueError, match="corrupt"):
         TrialConfig(sft=HS, corrupt_rate=1.5)
     with pytest.raises(ValueError, match="support"):
@@ -69,16 +73,15 @@ def test_trial_config_refuses_non_finite_epsilon_and_cap():
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
         (1 / 64, math.nan), (1 / 64, math.inf), (1 / 64, -math.inf), (math.inf, math.inf),
     ):
-        for allow in (False, True):
-            with pytest.raises(ValueError, match="finite"):
-                TrialConfig(sft=HS, epsilon=epsilon, cap=cap, allow_out_of_hypothesis=allow)
+        with pytest.raises(ValueError, match="finite"):
+            TrialConfig(sft=HS, epsilon=epsilon, cap=cap)
 
 
 def test_sample_admissible():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         w = sample_admissible(HS, 10, rng)
-        assert violations(w, HS) == []
+        assert forbidden_pairs(w, HS) == set()
         assert w.rect == Rect.centered(10)
     rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
     assert sample_admissible(HS, 6, rng1) == sample_admissible(HS, 6, rng2)
@@ -137,7 +140,7 @@ def test_stacked_window_with_a_forbidden_pair_raises(monkeypatch, size):
 
 def test_sample_admissible_full_shift():
     w = sample_admissible(full_shift(4), 5, np.random.default_rng(1))
-    assert violations(w, full_shift(4)) == []
+    assert forbidden_pairs(w, full_shift(4)) == set()
     assert set(np.unique(w.array)) <= {0, 1, 2, 3}
 
 
@@ -307,7 +310,9 @@ def test_total_gap_admissible():
     g = _zero_g()
     w = Window.filled(Rect.centered(6), 0)
     res = repair(w, HS, 4)
-    rep = check_total_gap(g, w, res.window, res.shell_sizes, Rect.centered(4), 4)
+    region = Rect.centered(4)
+    before, after = birkhoff_sum(g, w, region), birkhoff_sum(g, res.window, region)
+    rep = _total_report(g.gap, res.total_bad, before, after, region.area, 4)
     assert rep.total_gap == 0.0
     assert rep.raw_ok and rep.normalized_ok and rep.vacuous  # required < 0 at tiny N
 

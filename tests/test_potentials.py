@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nnsft.potentials import (
     PerturbedPotential,
     RangeOnePerturbation,
     SEMINORM_ENUM_GUARD,
+    SUPPORT_GUARD,
     birkhoff_sum,
     certify_norm_gap,
     check_levelset_lipschitz,
@@ -308,6 +310,20 @@ def test_code_lookup_refuses_symbols_outside_alphabet():
     with pytest.raises(ValueError, match="alphabet too large"):
         sample_perturbation(1 / 384, 1, 129, rng)
     assert rng.bit_generator.state == state
+
+
+def test_sample_perturbation_refuses_support_over_guard_before_any_draw():
+    # q = 6 has more than SUPPORT_GUARD patterns, so the guard, not the
+    # pattern count, refuses; the largest support a pinned command asks
+    # for is 10,001
+    assert 6**9 > SUPPORT_GUARD > 10_001
+    rng = np.random.default_rng(0)
+    expected = np.random.default_rng(0).random()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="guard"):
+        sample_perturbation(1 / 384, SUPPORT_GUARD + 1, 6, rng)
+    assert time.perf_counter() - start < 1.0
+    assert rng.random() == expected
 
 
 def test_non_finite_values_refused():

@@ -3,10 +3,10 @@ import pytest
 
 from nnsft.lattice import Rect, Window
 from nnsft.repair import Run, _decompose, _sweep, changed_sites, fill_segment, repair
-from nnsft.sft import SymbolRangeError, bad_sites, checkerboard, hard_square, violations
+from nnsft.sft import SymbolRangeError, bad_sites, checkerboard, hard_square
 from nnsft.harness import corrupt, sample_admissible
 
-from _util import patch_admissible_around, random_ssf_sfts, random_window
+from _util import forbidden_pairs, patch_admissible_around, random_ssf_sfts, random_window
 
 
 def test_run_validation():
@@ -217,11 +217,10 @@ def test_repair_requires_ssf():
 def _box_violations(w, sft, n):
     box = Rect.centered(n)
     out = []
-    for v in violations(w, sft):
-        x, y = v.site
-        other = (x + 1, y) if v.direction == "horizontal" else (x, y + 1)
-        if box.contains(v.site) and box.contains(other):
-            out.append(v)
+    for (x, y), direction in forbidden_pairs(w, sft):
+        other = (x + 1, y) if direction == "horizontal" else (x, y + 1)
+        if box.contains((x, y)) and box.contains(other):
+            out.append(((x, y), direction))
     return out
 
 

@@ -9,7 +9,7 @@ from nnsft.sft import (
     NnSft,
     SftParseError,
     SymbolRangeError,
-    Violation,
+    bad_site_mask,
     bad_sites,
     check_ssf,
     checkerboard,
@@ -20,34 +20,15 @@ from nnsft.sft import (
     local_implies_global,
     parse_sft,
     render_sft,
-    violations,
 )
 
-from _util import pair_scan_bad_sites, random_window, window_from_rows
-
-
-def test_violations_admissible():
-    w = Window.filled(Rect.centered(2), 0)
-    assert violations(w, hard_square()) == []
-
-
-def test_violations_single_horizontal_pair():
-    w = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1, (1, 0): 1})
-    assert violations(w, hard_square()) == [Violation((0, 0), "horizontal")]
-
-
-def test_violations_checkerboard_constant_window():
-    w = Window.filled(Rect(0, 0, 2, 2), 0)
-    found = violations(w, checkerboard(3))
-    assert len(found) == 4
-    assert sum(1 for v in found if v.direction == "horizontal") == 2
-    assert sum(1 for v in found if v.direction == "vertical") == 2
+from _util import forbidden_pairs, pair_scan_bad_sites, random_window, window_from_rows
 
 
 def test_violations_symbol_range():
     w = window_from_rows(0, 0, [[0, 3], [0, 0]])
     with pytest.raises(SymbolRangeError) as err:
-        violations(w, hard_square())
+        bad_site_mask(w, hard_square())
     assert err.value.site == (1, 1)
 
 
@@ -184,10 +165,8 @@ def test_violations_bad_sites_consistency():
     for _ in range(30):
         w = random_window(Rect.centered(3), 2, rng)
         bs = bad_sites(w, hs)
-        from_violations = {
-            v.site for v in violations(w, hs) if bs.evaluable.contains(v.site)
-        }
-        assert from_violations == set(bs.sites)
+        from_pairs = {site for site, _ in forbidden_pairs(w, hs) if bs.evaluable.contains(site)}
+        assert from_pairs == set(bs.sites)
 
 
 def test_local_implies_global():
