@@ -19,6 +19,7 @@ from .harness import (
     DEFAULT_CAP,
     DEFAULT_EPSILON,
     TrialConfig,
+    _check_corrupt_rate,
     corrupt,
     run_experiment,
     sample_admissible,
@@ -133,9 +134,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     sft = load_sft(args.spec)
+    _check_corrupt_rate(args.corrupt)  # before the window is sampled
     rng = np.random.default_rng(args.seed)
     w = sample_admissible(sft, args.size, rng)
-    if args.corrupt:  # rate 0 draws nothing; corrupt refuses one outside [0, 1]
+    if args.corrupt:  # rate 0 draws nothing
         w = corrupt(w, sft.q, args.corrupt, rng)
     text = render_window(w)
     if args.out:

@@ -58,6 +58,7 @@ from .lattice import Rect, Window
 from .potentials import (
     PATCH_CENTER,
     PerturbedPotential,
+    _check_sampling,
     region_patches,
     sample_perturbation,
 )
@@ -105,10 +106,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("box radius must be >= 1")
-        if not 0.0 <= self.corrupt_rate <= 1.0:
-            raise ValueError("corrupt rate must be in [0, 1]")
-        if self.support_size < 0:
-            raise ValueError("perturbation support size must be >= 0")
+        _check_corrupt_rate(self.corrupt_rate)
         if self.trials < 1:
             raise ValueError("need at least one trial")
         # a NaN makes the hypothesis test below False; an infinite epsilon passes any cap
@@ -119,6 +117,7 @@ class TrialConfig:
                 f"5*cap = {5.0 * self.cap} exceeds epsilon = {self.epsilon}; "
                 "the certified gap may leave the hypothesis"
             )
+        _check_sampling(self.cap, self.support_size, self.sft.q)
 
     @property
     def window_radius(self) -> int:
@@ -237,11 +236,15 @@ def _sweep(sft: NnSft, draws: np.ndarray, side: int) -> np.ndarray:
     return padded
 
 
+def _check_corrupt_rate(rate: float) -> None:
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("corrupt rate must be in [0, 1]")
+
+
 def corrupt(w: Window, q: int, rate: float, rng: np.random.Generator) -> Window:
     """Independently resample each site uniformly over 0..q-1 with the
     given probability (a resampled site may keep its value)."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("corrupt rate must be in [0, 1]")
+    _check_corrupt_rate(rate)
     hit = rng.random(w.array.shape) < rate
     draws = rng.integers(0, q, size=w.array.shape)
     return Window(w.rect, np.where(hit, draws, w.array), _copy=False)

@@ -64,7 +64,7 @@ PATCH_OFFSETS: tuple[Site, ...] = (
 PATCH_CENTER = 4  # index of (0, 0) in PATCH_OFFSETS
 _UP, _RIGHT = 1, 5  # indices of (0, 1) and (1, 0)
 
-SEMINORM_ENUM_GUARD = 10_000
+SEMINORM_ENUM_GUARD = 10_000  # certify_norm_gap's switch to the 5*cap bound
 SUPPORT_GUARD = 2**21  # largest sampled perturbation support, in patterns
 
 
@@ -91,17 +91,9 @@ class RangeOnePerturbation:
 
 def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
     """Exact Lipschitz seminorm of a range-1 function over alphabet 0..q-1,
-    from each center's coefficient extremes (see the module docstring).
-
-    Guarded at SEMINORM_ENUM_GUARD stored patterns, beyond which
-    certify_norm_gap gives the 5*cap bound instead.
-    """
+    from each center's coefficient extremes (see the module docstring),
+    in one pass over the stored patterns."""
     n = len(h.coeffs)
-    if n > SEMINORM_ENUM_GUARD:
-        raise ValueError(
-            f"{n} patterns exceed the enumeration guard "
-            f"({SEMINORM_ENUM_GUARD}); certify_norm_gap bounds the norm by 5*cap there"
-        )
     if n == 0:
         return 0.0
     pats = _pattern_array(h.coeffs, q)
@@ -292,6 +284,21 @@ def birkhoff_sum(g: PerturbedPotential, w: Window, region: Rect) -> float:
     return g.sum_parts(*g.patch_parts(region_patches(w.array, w.rect, region)))
 
 
+def _check_sampling(cap: float, support_size: int, q: int) -> None:
+    """Refuse the arguments sample_perturbation cannot draw from."""
+    if not 0 < cap < inf:
+        raise ValueError("cap must be positive and finite")
+    if q < 1:
+        raise ValueError("alphabet size must be >= 1")
+    _check_code_range(q)
+    if support_size < 0:
+        raise ValueError("perturbation support size must be >= 0")
+    if support_size > q**9:
+        raise ValueError(f"support_size {support_size} exceeds the {q**9} distinct patterns")
+    if support_size > SUPPORT_GUARD:
+        raise ValueError(f"support_size {support_size} is over the sampling guard ({SUPPORT_GUARD})")
+
+
 def sample_perturbation(
     cap: float,
     support_size: int,
@@ -303,18 +310,10 @@ def sample_perturbation(
 
     Pattern codes are drawn in rounds of as many as are still missing,
     keeping first occurrences: the same draws, in the same order, as one
-    code at a time until support_size distinct ones are found. A support
-    over SUPPORT_GUARD patterns is refused before any draw."""
-    if not 0 < cap < inf:
-        raise ValueError("cap must be positive and finite")
-    if q < 1:
-        raise ValueError("alphabet size must be >= 1")
-    _check_code_range(q)
+    code at a time until support_size distinct ones are found. Arguments
+    that _check_sampling refuses are refused before any draw."""
+    _check_sampling(cap, support_size, q)
     total = q**9
-    if support_size > total:
-        raise ValueError(f"support_size {support_size} exceeds the {total} distinct patterns")
-    if support_size > SUPPORT_GUARD:
-        raise ValueError(f"support_size {support_size} is over the sampling guard ({SUPPORT_GUARD})")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seen: set[int] = set()
     codes: list[int] = []
@@ -359,14 +358,17 @@ def check_levelset_lipschitz(
     skipped = 0
     worst = float("inf")
     for wx, wy in pairs:
-        if any(-int(g.parts(w, 0, 0)[0]) != level for w in (wx, wy)):
-            raise ValueError("window pair is not on the required penalty level set")
+        gs = []  # g at each origin, formed as value forms it
+        for bad, h in (g.parts(w, 0, 0) for w in (wx, wy)):
+            if -int(bad) != level:
+                raise ValueError("window pair is not on the required penalty level set")
+            gs.append(h - bad)
         m = metric_exact(wx, wy)
         if m.is_agreement:
             skipped += 1
             continue
         d = float(m.value)
-        lhs = abs(float(g.value(wx, 0, 0) - g.value(wy, 0, 0)))
+        lhs = abs(float(gs[0] - gs[1]))
         slack = gap * d - lhs
         worst = min(worst, slack)
         if slack < 0:

@@ -11,7 +11,7 @@ symbol that fits all four (rule "smallest") or one drawn uniformly
 among them (rule "random"); single-site fillability guarantees the AND
 is nonzero. Every adjacent pair touching a rewritten site is validated
 by the later of its two endpoints, so fills create no forbidden pair
-and the bad sites need no recomputing between shells.
+and the bad sites of all shells are found once and swept in one pass.
 
 A side's bad sites form maximal runs (Run), each swept from its alpha
 end. Runs do not change what is written: they exist for inspection
@@ -207,13 +207,13 @@ class RepairResult:
     while shell i was repaired. sweep holds the shell, side and
     coordinate along the side of each rewritten site, in sweep order;
     shells cuts each shell's runs from it on first use (for tests and
-    the benchmark's tracer). intermediates, captured only by tests,
-    holds the input followed by the window after each shell."""
+    the benchmark's tracer). Repair with n = i, from the same rng state,
+    gives the window after shell i: where(Chebyshev norm <= i, window, input)."""
 
     window: Window
     shell_sizes: list[int]
-    intermediates: list[Window]
     sweep: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    intermediates = ()  # always empty; the benchmark's tracer still reads it
 
     @property
     def total_bad(self) -> int:
@@ -232,7 +232,6 @@ def repair(
     n: int,
     rule: str = "smallest",
     rng: np.random.Generator | None = None,
-    keep_intermediates: bool = False,
 ) -> RepairResult:
     """Repair shells 0..n of w in order.
 
@@ -248,19 +247,12 @@ def repair(
     mask, _ = bad_site_mask(w, sft)
     sites, *sweep = _sweep_order(rect, mask, n)
     sizes = np.bincount(sweep[0], minlength=n + 1).tolist()
-    table = sft.fill_table.tolist()
     # symbols fit a byte: bad_site_mask checked they are below q <= 64
     buf = bytearray(w.array.astype(np.uint8, order="C"))
-    intermediates = [w] if keep_intermediates else []
-    start = 0
-    for size in sizes:
-        _sweep(buf, rect, table, sites[start : start + size].tolist(), rule, rng)
-        start += size
-        if keep_intermediates:
-            intermediates.append(Window(rect, np.frombuffer(buf, np.uint8).reshape(mask.shape)))
+    _sweep(buf, rect, sft.fill_table.tolist(), sites.tolist(), rule, rng)
     # converting to int64 copies, so the window shares no memory with buf
     out = Window(rect, np.frombuffer(buf, np.uint8).reshape(mask.shape), _copy=False)
-    return RepairResult(out, sizes, intermediates, tuple(sweep))
+    return RepairResult(out, sizes, tuple(sweep))
 
 
 def changed_sites(before: Window, after: Window) -> set[Site]:

@@ -3,6 +3,7 @@ random SFT/window generators."""
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 
@@ -209,7 +210,14 @@ def reference_seminorm(h, q: int) -> float:
     return best
 
 
-def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):
+def shell_windows(w: Window, sft: NnSft, n: int, rule: str = "smallest", rng=None) -> list[Window]:
+    """w followed by the window after each shell i = 0..n: repair's own
+    output on shells 0..i, from a copy of rng, so each starts where a
+    full repair of w with rng starts; rng itself does not move."""
+    return [w] + [repair(w, sft, i, rule=rule, rng=copy.deepcopy(rng)).window for i in range(n + 1)]
+
+
+def reference_shell_rows(g, shells, windows: list[Window], region: Rect):
     """(size, pending, observed) per shell from the window before and
     after each shell's repair, site by site.
 
@@ -218,7 +226,7 @@ def reference_shell_rows(g, shells, intermediates: list[Window], region: Rect):
     pending counts the shell's bad sites still bad before its repair.
     """
     rows = []
-    for dec, prev, cur in zip(shells, intermediates, intermediates[1:]):
+    for dec, prev, cur in zip(shells, windows, windows[1:]):
         rect = prev.rect
         affected = set()
         for r, c in np.argwhere(prev.array != cur.array):

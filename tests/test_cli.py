@@ -144,7 +144,7 @@ def test_sample_stdout_admissible():
     assert forbidden_pairs(w, checkerboard(5)) == set()
 
 
-def test_sample_corrupt_rate_outside_unit_interval_exits_2(capsys):
+def test_sample_corrupt_rate_outside_unit_interval_exits_2(monkeypatch, capsys):
     # a rate of 0 (or -0) prints the uncorrupted window; one outside
     # [0, 1] is refused with one error line, as verify refuses it
     args = ["sample", "--spec", "hardsquare", "--size", "4", "--seed", "5"]
@@ -153,10 +153,35 @@ def test_sample_corrupt_rate_outside_unit_interval_exits_2(capsys):
     for rate in ("0", "-0"):
         assert main([*args, "--corrupt", rate]) == 0
         assert capsys.readouterr().out == plain
+
+    def refuse(*_):  # a rate outside [0, 1] is refused before sampling
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr("nnsft.cli.sample_admissible", refuse)
     for rate in ("-0.5", "1.5"):
         assert main([*args, "--corrupt", rate]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: corrupt rate must be in [0, 1]\n"
+
+
+def test_bad_sampling_arguments_refused_before_sampling(monkeypatch, capsys):
+    # with both samplers stubbed to raise, each command still exits 2
+    # with its refusal: nothing is sampled before the arguments are checked
+    def refuse(*_):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr("nnsft.harness.sample_admissible_stack", refuse)
+    monkeypatch.setattr("nnsft.cli.sample_admissible", refuse)
+    verify = ["verify", "--spec", "hardsquare", "--size", "1000", "--trials", "1"]
+    for args, message in (
+        ([*verify, "--support", "2097153"], "support_size 2097153 exceeds the 512 distinct patterns"),
+        ([*verify, "--support", "-1"], "perturbation support size must be >= 0"),
+        ([*verify, "--cap", "-1"], "cap must be positive and finite"),
+        (["sample", "--spec", "hardsquare", "--size", "1000", "--corrupt", "-0.5"],
+         "corrupt rate must be in [0, 1]"),
+    ):
+        assert main(args) == 2, args
+        assert capsys.readouterr() == ("", f"error: {message}\n"), args
 
 
 def test_check_runs_the_ssf_check_once(monkeypatch, capsys):
@@ -217,6 +242,11 @@ GOLDEN_VERIFY = {
         "82a8bfc277c26babd5e56f07e4401f7baead9151ce805f16b65b2df118c08319",
     ("--spec", "checkerboard:5", "--size", "4", "--trials", "1", "--support", "10001"):
         "f69adf2e8738d9ab0af28a10ba004bebb0f05993887d12ce8e991198bbe942a8",
+    # the random fill rule, whose draws follow the sweep order
+    ("--spec", "hardsquare", "--size", "16", "--trials", "4", "--seed", "1", "--rule", "random"):
+        "b4621f7a74326ccbd122556ac9aa48ea3351af7c4825dd60696b77640ba0bc43",
+    ("--spec", "checkerboard:5", "--size", "12", "--trials", "4", "--seed", "2", "--rule", "random"):
+        "73b6af88cac30100b642db5bab119b6f661075fdb7f508c76d19793ffcb37a70",
 }
 
 
@@ -225,6 +255,20 @@ def test_verify_csv_golden(capsys):
         assert main(["verify", *args]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+# sha256 of the stdout of `repair --rule random --seed 5` on the window
+# that `sample --spec checkerboard:5 --size 10 --seed 4 --corrupt 0.5` writes
+GOLDEN_REPAIR_RANDOM = "7f95bf210f69039debe95a3e4041a9f27825077e6122363df0ab298995885be0"
+
+
+def test_repair_random_rule_golden(tmp_path, capsys):
+    raw = tmp_path / "w.txt"
+    spec = ["--spec", "checkerboard:5"]
+    assert main(["sample", *spec, "--size", "10", "--seed", "4", "--corrupt", "0.5", "--out", str(raw)]) == 0
+    capsys.readouterr()
+    assert main(["repair", *spec, "--window", str(raw), "--rule", "random", "--seed", "5"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_REPAIR_RANDOM
 
 
 # sha256 of the stdout of entropy; the printed repr pins every bit of the value

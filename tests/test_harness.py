@@ -39,6 +39,7 @@ from _util import (
     reference_decompose,
     reference_run_trial,
     reference_shell_rows,
+    shell_windows,
 )
 
 # the modules, not the package's same-named functions
@@ -189,10 +190,11 @@ def test_shell_gaps_zero_perturbation_integer_identity():
     g = _zero_g()
     region = Rect.centered(10)
     w = corrupt(sample_admissible(HS, 12, rng), 2, 0.4, rng)
-    res = repair(w, HS, 10, keep_intermediates=True)
+    res = repair(w, HS, 10)
     rep = check_shell_gaps(g, w, res.window, res.shell_sizes, region)
     assert rep.ok
-    for row, prev, cur in zip(rep.rows, res.intermediates, res.intermediates[1:]):
+    windows = shell_windows(w, HS, 10)
+    for row, prev, cur in zip(rep.rows, windows, windows[1:]):
         before = sum(1 for s in bad_sites(prev, HS).sites if region.contains(s))
         after = sum(1 for s in bad_sites(cur, HS).sites if region.contains(s))
         assert row.observed == pytest.approx(before - after, abs=1e-12)
@@ -232,15 +234,17 @@ def test_shell_gaps_mismatched_domains():
     rule=st.sampled_from(["smallest", "random"]),
 )
 def test_shell_gaps_replay_matches_reference(seed, n, margin, rate, support, rule):
-    # the replay from repair's input and output against the intermediate windows
+    # the replay from repair's input and output against the window after
+    # each shell, taken from repair on shells 0..i from the same rng state
     rng = np.random.default_rng(seed)
     sft = random_ssf_sfts(1, seed)[0]
     w = corrupt(sample_admissible(sft, n + 2, rng), sft.q, rate, rng)
     g = PerturbedPotential.build(sft, sample_perturbation(0.01, support, sft.q, rng))
-    res = repair(w, sft, n, rule=rule, rng=rng, keep_intermediates=True)
+    windows = shell_windows(w, sft, n, rule, rng)
+    res = repair(w, sft, n, rule=rule, rng=rng)
     region = Rect.centered(n + 1 - margin)
     rep = check_shell_gaps(g, w, res.window, res.shell_sizes, region)
-    expected = reference_shell_rows(g, res.shells, res.intermediates, region)
+    expected = reference_shell_rows(g, res.shells, windows, region)
     assert [(row.size, row.pending, row.observed) for row in rep.rows] == expected
 
 
@@ -415,7 +419,7 @@ def test_run_trial_locality_failures(monkeypatch):
             arr = res.window.array.copy()
             arr[w.rect.y1 - y, x - w.rect.x0] ^= 1  # repair left this site as it was
             out = Window(w.rect, arr)
-            return RepairResult(out, res.shell_sizes, res.intermediates, res.sweep)
+            return RepairResult(out, res.shell_sizes, res.sweep)
 
         monkeypatch.setattr(harness, "repair", tampered)
         r = run_trial(cfg, 0)

@@ -159,17 +159,6 @@ def test_seminorm_matches_oracle_sparse():
         assert abs(exact - oracle) <= 1e-12
 
 
-def test_seminorm_guard(monkeypatch):
-    import nnsft.potentials as pot
-
-    monkeypatch.setattr(pot, "SEMINORM_ENUM_GUARD", 2)
-    h = RangeOnePerturbation(
-        {(0, 0, 0, 0, 0, 0, 0, 0, s): 0.0005 for s in range(3)}, cap=0.001
-    )
-    with pytest.raises(ValueError, match="guard"):
-        lipschitz_seminorm_exact(h, 3)
-
-
 @settings(max_examples=300, deadline=None)
 @example(q=2, support=0, seed=0, levels=0, filled=0)  # the empty table
 @example(q=2, support=40, seed=1, levels=2, filled=1)  # one center full, one partial

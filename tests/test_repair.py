@@ -6,7 +6,13 @@ from nnsft.repair import Run, _decompose, _sweep, changed_sites, fill_segment, r
 from nnsft.sft import SymbolRangeError, bad_sites, checkerboard, hard_square
 from nnsft.harness import corrupt, sample_admissible
 
-from _util import forbidden_pairs, patch_admissible_around, random_ssf_sfts, random_window
+from _util import (
+    forbidden_pairs,
+    patch_admissible_around,
+    random_ssf_sfts,
+    random_window,
+    shell_windows,
+)
 
 
 def test_run_validation():
@@ -236,7 +242,7 @@ def test_repair_invariants_seeded():
             n = (3, 5, 8, 12)[trial % 4]
             rate = (0.1, 0.3, 1.0)[trial % 3]
             w = corrupt(sample_admissible(sft, n + 1, rng), sft.q, rate, rng)
-            res = repair(w, sft, n, keep_intermediates=True)
+            res = repair(w, sft, n)
             # admissibility inside the box
             assert not _box_violations(res.window, sft, n), name
             # locality: changes confined to the shells' bad sites
@@ -250,8 +256,7 @@ def test_repair_invariants_seeded():
             ys = w.rect.y1 - np.arange(w.rect.height)
             xs = w.rect.x0 + np.arange(w.rect.width)
             norm = np.maximum.outer(np.abs(ys), np.abs(xs))
-            assert len(res.intermediates) == n + 2 and res.intermediates[0] == w
-            for i, inter in enumerate(res.intermediates[1:]):
+            for i, inter in enumerate(shell_windows(w, sft, n)[1:]):
                 assert not _box_violations(inter, sft, i)
                 assert np.array_equal(inter.array, np.where(norm <= i, res.window.array, w.array))
             # idempotence
