@@ -82,7 +82,7 @@ class Rect:
 
     def centered_radius(self) -> int:
         """Largest n with [-n, n]^2 inside this rectangle (-1 if none)."""
-        return min(-self.x0, self.x1, -self.y0, self.y1)
+        return max(-1, min(-self.x0, self.x1, -self.y0, self.y1))
 
 
 class Window:

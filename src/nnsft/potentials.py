@@ -335,9 +335,6 @@ class LevelSetCheckResult:
     skipped: int  # pairs agreeing on the whole domain: no exact distance
     worst_slack: float  # min over checked pairs of gap*d - |g(x) - g(y)|
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def check_levelset_lipschitz(
     g: PerturbedPotential,

@@ -66,9 +66,6 @@ class Run:
             if self.alpha < -self.i + 1 or self.beta > self.i - 1:
                 raise ValueError("vertical run must avoid the corner rows")
 
-    def __len__(self) -> int:
-        return self.beta - self.alpha + 1
-
     def sites(self) -> list[Site]:
         """Run sites in sweep order (alpha end first)."""
         span = range(self.alpha, self.beta + 1)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
@@ -124,9 +123,6 @@ class SsfResult:
     # a blocking boundary (north, south, east, west) when ok is False
     witness: tuple[int, int, int, int] | None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class BadSites:
@@ -218,15 +214,6 @@ def find_safe_symbols(sft: NnSft) -> list[int]:
         blocked.add(a)
         blocked.add(b)
     return [a for a in range(sft.q) if a not in blocked]
-
-
-def local_implies_global(sft: NnSft) -> bool | Literal["unknown"]:
-    """Under SSF, locally admissible configurations extend to full ones.
-
-    Returns True when SSF holds; "unknown" otherwise (global
-    admissibility search for non-SSF SFTs is out of scope).
-    """
-    return True if sft.ssf.ok else "unknown"
 
 
 # ---------------------------------------------------------------------------

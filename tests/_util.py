@@ -9,7 +9,6 @@ from collections import Counter
 
 import numpy as np
 
-from nnsft import NnSft, Rect, Run, ShellDecomposition, Window, check_ssf
 from nnsft.entropy import TOL_FLOOR, ConvergenceError, EmptySubshiftError, StripEntropyResult
 from nnsft.harness import (
     TrialReport,
@@ -20,6 +19,7 @@ from nnsft.harness import (
     sample_admissible,
     trial_seed,
 )
+from nnsft.lattice import Rect, Window
 from nnsft.potentials import (
     PATCH_CENTER,
     PerturbedPotential,
@@ -27,8 +27,8 @@ from nnsft.potentials import (
     birkhoff_sum,
     sample_perturbation,
 )
-from nnsft.repair import repair
-from nnsft.sft import SsfResult, bad_site_mask
+from nnsft.repair import Run, ShellDecomposition, repair
+from nnsft.sft import NnSft, SsfResult, bad_site_mask, check_ssf
 
 
 def window_from_rows(x0: int, y0: int, rows: list[list[int]]) -> Window:

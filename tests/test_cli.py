@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import os
 import subprocess
 import sys
@@ -7,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import nnsft.sft as sft_module
 from nnsft.cli import main, parse_ratio
 from nnsft.lattice import parse_window
 from nnsft.sft import NnSft, bad_sites, hard_square, parse_sft, render_sft
@@ -185,7 +185,6 @@ def test_bad_sampling_arguments_refused_before_sampling(monkeypatch, capsys):
 
 
 def test_check_runs_the_ssf_check_once(monkeypatch, capsys):
-    sft_module = importlib.import_module("nnsft.sft")
     real, calls = sft_module.check_ssf, []
 
     def counting(sft):
@@ -299,6 +298,20 @@ def test_blas_runs_one_thread_whatever_the_environment():
     res = run_cli("entropy", *args, env=env)
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_ENTROPY[args]
+
+
+def test_each_module_imports_as_itself_and_the_package_loads_no_numpy():
+    # the package re-exports nothing, so no attribute of it shadows one of
+    # its modules, and importing it alone starts no BLAS
+    check = (
+        "import sys, types, nnsft\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name in ('cli', 'entropy', 'harness', 'lattice', 'potentials', 'repair', 'sft'):\n"
+        "    exec(f'import nnsft.{name} as mod')\n"
+        "    assert isinstance(mod, types.ModuleType) and mod.__name__ == f'nnsft.{name}', name\n"
+    )
+    res = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_verify_rational_epsilon_and_hypothesis_guard():

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import math
 
 import numpy as np
@@ -7,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnsft.repair as repair_module
+import nnsft.sft as sft_module
 from nnsft import harness
 from nnsft.cli import main
 from nnsft.harness import (
@@ -41,10 +42,6 @@ from _util import (
     reference_shell_rows,
     shell_windows,
 )
-
-# the modules, not the package's same-named functions
-sft_module = importlib.import_module("nnsft.sft")
-repair_module = importlib.import_module("nnsft.repair")
 
 HS = hard_square()
 
@@ -433,8 +430,7 @@ def test_trial_and_cli_repair_build_no_decomposition(monkeypatch, tmp_path, caps
     def refuse(*args):
         raise AssertionError("built a shell decomposition")
 
-    # the package's `repair` attribute is the function, not the module
-    monkeypatch.setattr(importlib.import_module("nnsft.repair"), "_decompose", refuse)
+    monkeypatch.setattr(repair_module, "_decompose", refuse)
     assert run_trial(TrialConfig(sft=HS, n=12, seed=3), 0).all_pass
     rng = np.random.default_rng(6)
     w = corrupt(sample_admissible(HS, 9, rng), 2, 0.4, rng)

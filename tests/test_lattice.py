@@ -52,6 +52,13 @@ def test_metric_agreement_sentinel():
         m.value
 
 
+def test_centered_radius_of_a_rect_that_misses_the_origin():
+    rect = Rect(5, 5, 3, 3)
+    assert rect.centered_radius() == -1
+    w = Window.filled(rect, 0)
+    assert metric_exact(w, Window.filled(rect, 0)).radius == 0
+
+
 def test_metric_exact_values():
     rect = Rect.centered(5)
     w = Window.filled(rect, 0)

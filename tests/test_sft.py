@@ -17,7 +17,6 @@ from nnsft.sft import (
     full_shift,
     hard_square,
     load_sft,
-    local_implies_global,
     parse_sft,
     render_sft,
 )
@@ -167,12 +166,6 @@ def test_violations_bad_sites_consistency():
         bs = bad_sites(w, hs)
         from_pairs = {site for site, _ in forbidden_pairs(w, hs) if bs.evaluable.contains(site)}
         assert from_pairs == set(bs.sites)
-
-
-def test_local_implies_global():
-    assert local_implies_global(hard_square()) is True
-    assert local_implies_global(checkerboard(5)) is True
-    assert local_implies_global(checkerboard(4)) == "unknown"
 
 
 def test_parse_sft_round_trip():
