@@ -88,21 +88,22 @@ class Rect:
 class Window:
     """A dense configuration on a rectangle: one symbol per site.
 
-    Immutable after construction; the backing array is frozen. Row 0 of
-    the array is the top row (largest y).
+    Immutable after construction; the backing array, integer symbols
+    stored as int64, is frozen. Row 0 is the top row (largest y).
     """
 
     __slots__ = ("rect", "array")
 
     def __init__(self, rect: Rect, array: np.ndarray, *, _copy: bool = True):
-        arr = np.asarray(array, dtype=np.int64)
+        arr = np.asarray(array)
+        if arr.dtype.kind not in "biu":  # bool, signed or unsigned integers
+            raise ValueError(f"window symbols must be integers, not {arr.dtype}")
+        arr = arr.astype(np.int64, copy=_copy)
         if arr.shape != (rect.height, rect.width):
             raise ValueError(
                 f"array shape {arr.shape} does not match rectangle "
                 f"{rect.height}x{rect.width}"
             )
-        if _copy:
-            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "rect", rect)
         object.__setattr__(self, "array", arr)

@@ -14,9 +14,9 @@ nine views, for birkhoff_sum and the harness's per-shell accounting,
 with no copy and no index gather. sum_parts turns an evaluation into a
 windowed sum.
 
-Perturbations are range-1: a sparse table of coefficients indexed by
-3x3 patches (row-major, top row first), every coefficient finite and
-bounded by a cap. Such a function is Lipschitz for the dyadic metric and
+Perturbations are range-1: an array of distinct 3x3 patterns (row-major,
+top row first) and one of their coefficients, each finite and within a
+cap. Such a function is Lipschitz for the dyadic metric and
 its norms are computable exactly: two configurations achieving the
 variation sup can agree everywhere outside the patch, so the seminorm is
 the maximum of |c_p - c_p'| * 2**i(p, p') over patch pairs, where
@@ -45,15 +45,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from math import inf
 
 import numpy as np
 
 from .lattice import Rect, Site, Window, metric_exact
 from .sft import NnSft
-
-Pattern = tuple[int, ...]
 
 # 3x3 patch offsets (dx, dy) in documented order: row-major, top row first
 PATCH_OFFSETS: tuple[Site, ...] = (
@@ -68,41 +65,66 @@ SEMINORM_ENUM_GUARD = 10_000  # certify_norm_gap's switch to the 5*cap bound
 SUPPORT_GUARD = 2**21  # largest sampled perturbation support, in patterns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RangeOnePerturbation:
-    """Sparse map from 3x3 patterns to coefficients, each bounded by cap."""
+    """n distinct 3x3 patterns, an (n, 9) int64 array in PATCH_OFFSETS
+    order, and their n float coefficients, each at most cap in absolute
+    value; both arrays read-only. Built from a dict mapping 9-tuples of
+    nonnegative integers (bools count) to coefficients."""
 
-    coeffs: dict[Pattern, float]
+    patterns: np.ndarray
+    values: np.ndarray
     cap: float
 
-    def __post_init__(self) -> None:
-        if not 0 < self.cap < inf:
+    def __init__(self, coeffs: dict[tuple[int, ...], float], cap: float) -> None:
+        patterns = np.array(list(coeffs) or np.empty((0, 9), np.int64))
+        self._set(patterns, np.fromiter(coeffs.values(), float, len(coeffs)), cap)
+
+    @classmethod
+    def _from_arrays(cls, patterns: np.ndarray, values: np.ndarray, cap: float) -> "RangeOnePerturbation":
+        h = cls.__new__(cls)
+        h._set(patterns, values, cap)
+        return h
+
+    def _set(self, patterns: np.ndarray, values: np.ndarray, cap: float) -> None:
+        # both constructors' one check. Rows are distinct dict keys or codes;
+        # patterns of unequal lengths numpy refuses before, with ValueError
+        if not 0 < cap < inf:
             raise ValueError("cap must be positive and finite")
-        for pat, c in self.coeffs.items():
-            if len(pat) != 9 or any(s < 0 for s in pat):
-                raise ValueError(f"bad pattern {pat!r}: need 9 nonnegative symbols")
-            if not abs(c) <= self.cap:  # refuses NaN too
-                raise ValueError(f"coefficient {c} for {pat} exceeds cap {self.cap}")
+        if patterns.dtype.kind not in "biu" or patterns.shape != (len(values), 9):
+            raise ValueError("patterns must be 9-tuples of integer symbols below 2**63")
+        patterns = patterns.astype(np.int64, copy=False)  # a uint64 of 2**63 or more turns negative
+        if patterns.size and patterns.min() < 0:
+            raise ValueError("pattern symbols must be nonnegative")
+        if not (np.abs(values) <= cap).all():  # refuses NaN too
+            raise ValueError(f"coefficient {values[~(np.abs(values) <= cap)][0]} exceeds cap {cap}")
+        patterns.flags.writeable = values.flags.writeable = False
+        for name, value in (("patterns", patterns), ("values", values), ("cap", cap)):
+            object.__setattr__(self, name, value)
 
     @property
     def support_size(self) -> int:
-        return len(self.coeffs)
+        return len(self.values)
+
+
+def _check_alphabet(h: RangeOnePerturbation, q: int) -> None:
+    """Refuse symbols of q or more and, unless h is empty, a q too large for _pattern_codes."""
+    if h.support_size:
+        _check_code_range(q)
+        if h.patterns.max() >= q:
+            raise ValueError(f"pattern symbol {h.patterns.max()} outside alphabet 0..{q - 1}")
 
 
 def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
     """Exact Lipschitz seminorm of a range-1 function over alphabet 0..q-1,
     from each center's coefficient extremes (see the module docstring),
     in one pass over the stored patterns."""
-    n = len(h.coeffs)
-    if n == 0:
-        return 0.0
-    pats = _pattern_array(h.coeffs, q)
-    cs = np.fromiter(h.coeffs.values(), float, n)
-    _, at, counts = np.unique(pats[:, PATCH_CENTER], return_inverse=True, return_counts=True)
+    _check_alphabet(h, q)
+    _, at, counts = np.unique(h.patterns[:, PATCH_CENTER], return_inverse=True, return_counts=True)
     hi = np.full(len(counts), -inf)
     lo = np.full(len(counts), inf)
-    np.maximum.at(hi, at, cs)
-    np.minimum.at(lo, at, cs)
+    np.maximum.at(hi, at, h.values)
+    np.minimum.at(lo, at, h.values)
     partial = counts < q**8  # the center's absent patterns add a 0
     hi[partial] = np.maximum(hi[partial], 0.0)
     lo[partial] = np.minimum(lo[partial], 0.0)
@@ -116,13 +138,14 @@ def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
 class PerturbedPotential:
     """Penalty potential plus a range-1 perturbation, with gap, the
     certified upper bound on the Lipschitz norm of the difference,
-    computed once at construction."""
+    computed once at construction, which refuses symbols of q or more."""
 
     sft: NnSft
     h: RangeOnePerturbation
     gap: float = field(init=False)
 
     def __post_init__(self) -> None:
+        _check_alphabet(self.h, self.sft.q)
         self.gap = certify_norm_gap(self.h, self.sft.q)
 
     @classmethod
@@ -188,14 +211,9 @@ class PerturbedPotential:
     def _code_lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored patterns' codes in increasing order, and their
         coefficients in the same order."""
-        q = self.sft.q
-        pats = _pattern_array(self.h.coeffs, q)
-        if len(pats):
-            _check_code_range(q)
-        codes = _pattern_codes(pats.T, q)
+        codes = _pattern_codes(self.h.patterns.T, self.sft.q)
         order = np.argsort(codes)  # codes are unique: no ties to break
-        vals = np.fromiter(self.h.coeffs.values(), float, len(pats))
-        return codes[order], vals[order]
+        return codes[order], self.h.values[order]
 
     @cached_property
     def _code_filter(self) -> np.ndarray:
@@ -216,23 +234,8 @@ def certify_norm_gap(h: RangeOnePerturbation, q: int) -> float:
     plus the exact seminorm up to SEMINORM_ENUM_GUARD stored patterns,
     the 5*cap analytic bound beyond (see the module docstring)."""
     if h.support_size <= SEMINORM_ENUM_GUARD:
-        sup = max((abs(c) for c in h.coeffs.values()), default=0.0)
-        return sup + lipschitz_seminorm_exact(h, q)
+        return float(np.abs(h.values).max(initial=0.0)) + lipschitz_seminorm_exact(h, q)
     return 5.0 * h.cap
-
-
-def _pattern_array(coeffs: dict[Pattern, float], q: int) -> np.ndarray:
-    """The stored patterns as an (n, 9) int64 array, in the table's
-    order. A symbol of q or more raises ValueError, also one too large
-    for int64."""
-    try:
-        pats = np.fromiter(chain.from_iterable(coeffs), np.int64, 9 * len(coeffs))
-    except OverflowError:
-        pats = None
-    if pats is None or (pats >= q).any():
-        bad = next(p for p in coeffs if max(p) >= q)
-        raise ValueError(f"pattern {bad!r} has symbols outside alphabet 0..{q - 1}")
-    return pats.reshape(-1, 9)
 
 
 def _check_code_range(q: int) -> None:
@@ -250,14 +253,6 @@ def _pattern_codes(patch: Sequence[np.ndarray], q: int) -> np.ndarray:
         code *= q
         code += symbols
     return code
-
-
-def _decode_pattern(code: int, q: int) -> Pattern:
-    out = []
-    for _ in range(9):
-        out.append(code % q)
-        code //= q
-    return tuple(out)
 
 
 def region_patches(a: np.ndarray, rect: Rect, region: Rect) -> list[np.ndarray]:
@@ -313,19 +308,18 @@ def sample_perturbation(
     code at a time until support_size distinct ones are found. Arguments
     that _check_sampling refuses are refused before any draw."""
     _check_sampling(cap, support_size, q)
-    total = q**9
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     seen: set[int] = set()
     codes: list[int] = []
     while len(codes) < support_size:
         # a round never overdraws: at least this many more draws are needed
-        for v in rng.integers(0, total, size=support_size - len(codes)).tolist():
+        for v in rng.integers(0, q**9, size=support_size - len(codes)).tolist():
             if v not in seen:
                 seen.add(v)
                 codes.append(v)
     values = rng.uniform(-cap, cap, size=support_size)
-    coeffs = {_decode_pattern(k, q): float(v) for k, v in zip(codes, values)}
-    return RangeOnePerturbation(coeffs, cap)
+    patterns = np.array(codes, dtype=np.int64)[:, None] // q ** np.arange(9) % q
+    return RangeOnePerturbation._from_arrays(patterns, values, cap)
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,10 @@ def load_sft(spec: str) -> NnSft:
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad checkerboard spec {spec!r}; expected checkerboard:<k>")
+        from .entropy import STATE_ENUM_GUARD  # entropy imports this module
+        # refused before the pairs are built: past q = 64 only entropy runs, on q**2 states
+        if k * k > STATE_ENUM_GUARD:
+            raise ValueError(f"checkerboard:{k} is too large: no command runs for k**2 > {STATE_ENUM_GUARD}")
         return checkerboard(k)
     if spec.startswith("full:"):
         try:

@@ -4,6 +4,7 @@ random SFT/window generators."""
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from collections import Counter
 
@@ -130,7 +131,14 @@ def potential_oracle(g, w: Window, x: int, y: int) -> float:
     r, c = w.rect.y1 - y, x - w.rect.x0
     pat = tuple(int(v) for v in w.array[r - 1 : r + 2, c - 1 : c + 2].ravel())
     bad = (pat[4], pat[5]) in g.sft.hforbid or (pat[4], pat[1]) in g.sft.vforbid
-    return -int(bad) + g.h.coeffs.get(pat, 0.0)
+    return -int(bad) + coefficient_dict(g.h).get(pat, 0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def coefficient_dict(h) -> dict[tuple[int, ...], float]:
+    """h as the dict {pattern: coefficient} that builds it, in h's order;
+    a perturbation hashes by identity, so each is converted once."""
+    return dict(zip(map(tuple, h.patterns.tolist()), h.values.tolist()))
 
 
 def encode_pattern(pat: tuple[int, ...], q: int) -> int:
@@ -165,7 +173,7 @@ def reference_sample_perturbation(cap: float, support_size: int, q: int, rng: np
 def reference_code_lookup(h, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The (codes, coefficients) table as _code_lookup built it before:
     encoded one pattern at a time, then sorted as pairs."""
-    items = sorted((encode_pattern(p, q), c) for p, c in h.coeffs.items())
+    items = sorted((encode_pattern(p, q), c) for p, c in coefficient_dict(h).items())
     codes = np.array([k for k, _ in items], dtype=np.int64)
     vals = np.array([v for _, v in items], dtype=float)
     return codes, vals
@@ -175,13 +183,14 @@ def reference_seminorm(h, q: int) -> float:
     """The pairwise Lipschitz seminorm that lipschitz_seminorm_exact
     replaced: every pair of stored patterns in blocks of 512 rows, then
     each stored coefficient against the implicit zero class."""
-    n = len(h.coeffs)
+    coeffs = coefficient_dict(h)
+    n = len(coeffs)
     if n == 0:
         return 0.0
-    pats = np.array(sorted(h.coeffs.keys()), dtype=np.int64)
+    pats = np.array(sorted(coeffs), dtype=np.int64)
     if int(pats.max()) >= q:
         raise ValueError("pattern symbol outside alphabet")
-    cs = np.array([h.coeffs[tuple(int(s) for s in p)] for p in pats], dtype=float)
+    cs = np.array([coeffs[tuple(int(s) for s in p)] for p in pats], dtype=float)
     best = 0.0
     chunk = 512
     for k in range(0, n, chunk):

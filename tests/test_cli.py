@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,20 @@ def test_bad_sampling_arguments_refused_before_sampling(monkeypatch, capsys):
     ):
         assert main(args) == 2, args
         assert capsys.readouterr() == ("", f"error: {message}\n"), args
+
+
+def test_checkerboard_too_large_for_every_command_refused_before_building(capsys):
+    # k**2 over entropy's state guard: refused in well under a second,
+    # before the 2k forbidden pairs are built; entropy below it still runs
+    for k in (100_000_000, 1415):
+        start = time.perf_counter()
+        assert main(["check", "--spec", f"checkerboard:{k}"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == (
+            "", f"error: checkerboard:{k} is too large: no command runs for k**2 > 2000000\n"
+        )
+    assert main(["entropy", "--spec", "checkerboard:100", "--strip-width", "2"]) == 0
+    assert capsys.readouterr().out.startswith("entropy_per_site ")
 
 
 def test_check_runs_the_ssf_check_once(monkeypatch, capsys):

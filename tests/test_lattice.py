@@ -32,6 +32,18 @@ def test_window_accessors():
         w.get((2, 0))
 
 
+def test_window_refuses_symbols_that_are_not_integers():
+    # a float array used to be truncated, NaN to -2**63
+    rect = Rect(0, 0, 2, 1)
+    for arr in (np.array([[1.7, np.nan]]), np.array([[1.0, 2.0]]), np.array([["1", "2"]]),
+                np.array([[1, 2]], dtype=object)):
+        with pytest.raises(ValueError, match="window symbols must be integers"):
+            Window(rect, arr)
+    for arr in ([[1, 2]], np.array([[1, 2]], dtype=np.uint8), np.array([[True, False]])):
+        w = Window(rect, arr)
+        assert w.array.dtype == np.int64 and w.array.tolist() == [[int(a) for a in np.ravel(arr)]]
+
+
 def test_window_immutable_and_patch():
     w = window_from_rows(0, 0, [[0, 0], [0, 0]])
     with pytest.raises(ValueError):

@@ -19,11 +19,13 @@ from nnsft.potentials import (
     certify_norm_gap,
     check_levelset_lipschitz,
     lipschitz_seminorm_exact,
+    region_patches,
     sample_perturbation,
 )
 from nnsft.sft import bad_sites, checkerboard, full_shift, hard_square
 
 from _util import (
+    coefficient_dict,
     encode_pattern,
     potential_oracle,
     random_sft,
@@ -127,9 +129,9 @@ def test_seminorm_of_penalty_table():
 
 def _seminorm_oracle(h: RangeOnePerturbation, q: int, rng) -> float:
     """Pairwise enumeration in shuffled order, including the zero class."""
-    stored = list(h.coeffs.items())
+    coeffs = coefficient_dict(h)
     all_pats = list(itertools.product(range(q), repeat=9))
-    entries = [(p, h.coeffs.get(p, 0.0)) for p in all_pats]
+    entries = [(p, coeffs.get(p, 0.0)) for p in all_pats]
     rng.shuffle(entries)
     best = 0.0
     for (p1, c1), (p2, c2) in itertools.combinations(entries, 2):
@@ -238,8 +240,8 @@ def test_patch_parts_h_matches_dict_lookup(q, support, filter_size):
     h = sample_perturbation(1 / 384, support, q, rng)
     g = PerturbedPotential.build(full_shift(q), h)
     pats = rng.integers(0, q, size=(4 * (1_000 + support), 9))
-    pats[rng.permutation(len(pats))[:support]] = list(h.coeffs) or np.empty((0, 9))
-    by_code = {encode_pattern(p, q): c for p, c in h.coeffs.items()}
+    pats[rng.permutation(len(pats))[:support]] = h.patterns
+    by_code = {encode_pattern(p, q): c for p, c in coefficient_dict(h).items()}
     want = np.array([by_code.get(encode_pattern(p, q), 0.0) for p in pats.tolist()])
     _, got = g.patch_parts(list(pats.T.reshape(9, -1, 4)))
     assert got.shape == (len(pats) // 4, 4)
@@ -261,7 +263,8 @@ def test_perturbation_rounds_draw_as_one_code_at_a_time(q, support):
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sample_perturbation(1 / 384, support, q, got_rng)
     want = reference_sample_perturbation(1 / 384, support, q, want_rng)
-    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert got.patterns.tolist() == want.patterns.tolist()
+    assert got.values.tobytes() == want.values.tobytes()
     assert got_rng.random() == want_rng.random()
 
 
@@ -277,28 +280,75 @@ def test_patch_parts_finds_the_largest_code():
     assert got.tolist() == [0.002, -0.001, 0.0, 0.0]
 
 
-def test_code_lookup_refuses_symbols_outside_alphabet():
-    # at construction while the seminorm is computed exactly, in the lookup
-    # beyond the guard; a symbol too large for int64 too
+def test_build_refuses_symbols_outside_alphabet_at_once():
+    # when the potential is built, below the guard and beyond it, where the
+    # seminorm is not computed; lipschitz_seminorm_exact refuses too
     sft = full_shift(5)
-    many = sample_perturbation(1 / 384, SEMINORM_ENUM_GUARD + 1, 5, 0).coeffs
-    for symbol in (5, 2**63, 2**70):
-        pat = (0,) * 4 + (symbol,) + (0,) * 4
+    many = coefficient_dict(sample_perturbation(1 / 384, SEMINORM_ENUM_GUARD + 1, 5, 0))
+    pat = (0,) * 4 + (5,) + (0,) * 4
+    for coeffs in ({pat: 0.001}, {**many, pat: 0.001}):
+        h = RangeOnePerturbation(coeffs, 1 / 384)
+        with pytest.raises(ValueError, match=r"pattern symbol 5 outside alphabet 0\.\.4"):
+            PerturbedPotential.build(sft, h)
         with pytest.raises(ValueError, match="outside alphabet"):
-            PerturbedPotential.build(sft, RangeOnePerturbation({pat: 0.001}, 1 / 384))
-        g = PerturbedPotential.build(sft, RangeOnePerturbation({**many, pat: 0.001}, 1 / 384))
-        with pytest.raises(ValueError, match="outside alphabet"):
-            g._code_lookup
-    # past q = 128 the int64 pattern codes would wrap: the lookup and the
-    # sampler refuse, the sampler before any draw
-    g = PerturbedPotential.build(full_shift(129), RangeOnePerturbation({(0,) * 9: 0.001}, 1 / 384))
+            lipschitz_seminorm_exact(h, 5)
+    # past q = 128 the int64 pattern codes would wrap: building a potential
+    # with a nonempty table refuses, and the sampler before any draw
     with pytest.raises(ValueError, match="alphabet too large"):
-        g._code_lookup
+        PerturbedPotential.build(full_shift(129), RangeOnePerturbation({(0,) * 9: 0.001}, 1 / 384))
+    assert PerturbedPotential.build(full_shift(129), ZERO).gap == 0.0
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="alphabet too large"):
         sample_perturbation(1 / 384, 1, 129, rng)
     assert rng.bit_generator.state == state
+
+
+def test_perturbation_refuses_patterns_that_are_not_nonnegative_integers():
+    # a float symbol used to be truncated, so (0.5,)*9 and (0,)*9 shared
+    # one code; a symbol too large for int64 has no array form
+    for coeffs in (
+        {(0.5,) * 9: 0.001, (0,) * 9: -0.002},
+        {(1.0,) * 9: 0.001},
+        {(np.float64(1),) * 9: 0.001},
+        {(0,) * 4 + (2**63,) + (0,) * 4: 0.001},
+        {(0,) * 4 + (2**70,) + (0,) * 4: 0.001},
+        {(0,) * 8: 0.001},
+        {"abcdefghi": 0.001},
+    ):
+        with pytest.raises(ValueError, match="9-tuples of integer symbols"):
+            RangeOnePerturbation(coeffs, 0.002)
+    with pytest.raises(ValueError):  # numpy's refusal of patterns of unequal lengths
+        RangeOnePerturbation({(0,) * 8: 0.001, (0,) * 9: 0.001}, 0.002)
+    with pytest.raises(ValueError, match="nonnegative"):
+        RangeOnePerturbation({(0,) * 8 + (-1,): 0.001}, 0.002)
+    # bools and numpy integers are integers
+    h = RangeOnePerturbation({(True,) + (0,) * 8: 0.001, (np.uint8(1),) * 9: -0.001}, 0.002)
+    assert h.patterns.dtype == np.int64
+    assert h.patterns.tolist() == [[1] + [0] * 8, [1] * 9]
+    assert h.values.tolist() == [0.001, -0.001]
+
+
+@pytest.mark.parametrize(
+    "q,support",
+    # every support the alphabet holds, but the full q = 5 table: drawing
+    # all 5**9 codes takes the sampler's rounds about 25 s
+    [(q, s) for q in (2, 3, 5) for s in (0, 8, SEMINORM_ENUM_GUARD + 1, q**9) if s <= q**9 and s != 5**9],
+)
+def test_sampled_perturbation_matches_its_dict_rebuild(q, support):
+    # the sampler's array path and the dict constructor give one table: the
+    # same gap to the bit and the same patch_parts on a random window
+    rng = np.random.default_rng(q * 100_003 + support)
+    h = sample_perturbation(1 / 384, support, q, rng)
+    rebuilt = RangeOnePerturbation(coefficient_dict(h), h.cap)
+    assert rebuilt.patterns.tolist() == h.patterns.tolist()
+    w = random_window(Rect.centered(12), q, rng)
+    region = Rect.centered(11)
+    got, want = (PerturbedPotential.build(full_shift(q), x) for x in (h, rebuilt))
+    assert got.gap.hex() == want.gap.hex()
+    for a, b in zip(got.patch_parts(region_patches(w.array, w.rect, region)),
+                    want.patch_parts(region_patches(w.array, w.rect, region))):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sample_perturbation_refuses_support_over_guard_before_any_draw():
@@ -339,7 +389,7 @@ def test_analytic_bound_soundness():
         h = sample_perturbation(1 / 384, int(rng.integers(0, 30)), q, rng)
         semi = lipschitz_seminorm_exact(h, q)
         assert semi <= 4.0 * h.cap + 1e-15
-        assert max((abs(c) for c in h.coeffs.values()), default=0.0) <= h.cap
+        assert np.abs(h.values).max(initial=0.0) <= h.cap
 
 
 def test_certify_norm_gap():
@@ -348,13 +398,13 @@ def test_certify_norm_gap():
     for seed in range(50):
         h = sample_perturbation(1 / 384, 8, 2, seed)
         g = PerturbedPotential.build(HS, h)
-        sup = max(abs(c) for c in h.coeffs.values())
+        sup = max(abs(c) for c in h.values.tolist())
         assert g.gap == certify_norm_gap(h, 2) == sup + lipschitz_seminorm_exact(h, 2)
         assert g.gap < 1 / 64
         assert g.gap <= 5.0 * h.cap + 1e-15
     # exact at the guard, the analytic bound cap + 4*cap over it
     h = sample_perturbation(0.002, SEMINORM_ENUM_GUARD, 3, 0)
-    sup = max(abs(c) for c in h.coeffs.values())
+    sup = max(abs(c) for c in h.values.tolist())
     assert certify_norm_gap(h, 3) == sup + lipschitz_seminorm_exact(h, 3) < 5.0 * 0.002
     h = sample_perturbation(0.002, SEMINORM_ENUM_GUARD + 1, 3, 0)
     assert certify_norm_gap(h, 3) == 5.0 * 0.002
@@ -442,9 +492,11 @@ def test_sample_perturbation_contract():
     assert h.support_size == 0
     h1 = sample_perturbation(1 / 384, 20, 2, seed=4)
     h2 = sample_perturbation(1 / 384, 20, 2, seed=4)
-    assert h1 == h2
-    assert h1.support_size == 20
-    assert all(abs(c) <= 1 / 384 for c in h1.coeffs.values())
+    assert h1.patterns.tolist() == h2.patterns.tolist()
+    assert h1.values.tobytes() == h2.values.tobytes()
+    assert h1.support_size == 20 == len(set(map(tuple, h1.patterns.tolist())))
+    assert all(abs(c) <= 1 / 384 for c in h1.values.tolist())
+    assert not h1.patterns.flags.writeable and not h1.values.flags.writeable
     with pytest.raises(ValueError, match="exceeds"):
         sample_perturbation(0.1, 513, 2, seed=5)
     with pytest.raises(ValueError, match="cap"):
