@@ -25,14 +25,23 @@ certified norm gap of g (never the looser nominal value):
   (1 - 32*gap)*bad_fraction - (112*gap*(N+1) + 2*(8N+8)) / (2N+1)**2.
 
 A trial evaluates g once per window state. check_average_bounds does
-so on the admissible window; check_shell_gaps does so on the corrupted
-window, two mixed states and the repaired window, and its report also
-carries the region's bad count and windowed sum in the corrupted and
-repaired windows, and the number of sites repair changed other than the
-corrupted window's bad sites in the region. From those run_trial builds
-the corrupted window's average bound, through the same helper as
-check_average_bounds, the total bound, and its locality and
-cleanliness checks, so it builds no bad-site mask of its own.
+so on the admissible window, before repair, which frees that window;
+check_shell_gaps does so on the corrupted window, two mixed states and
+the repaired window, and its report also carries the region's bad count
+and windowed sum in the corrupted and repaired windows, and the number
+of sites repair changed other than the corrupted window's bad sites in
+the region. From those run_trial builds the corrupted window's average
+bound, through the same helper as check_average_bounds, the total
+bound, and its locality and cleanliness checks, so it builds no
+bad-site mask of its own.
+
+Both checks evaluate g over row bands of at most BAND_SITES sites, so
+their working set is a band's temporaries plus what must span the
+region: one float array of h per window state whose windowed sum is
+reported, because numpy groups a sum by the array's layout and only a
+contiguous array over the whole region gives birkhoff_sum's grouping
+(8 bytes per region site each), and check_shell_gaps' nonzero
+per-shell terms, which one sort over the region puts in replay order.
 
 The normalized total bound is asymptotic in N: at small N its right
 side drops below zero and the check is vacuous. The harness labels that
@@ -49,7 +58,7 @@ then goes on through the trial exactly as if it had sampled alone.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +87,10 @@ WINDOW_SITE_GUARD = 2**22  # largest sampled window or stack, in sites (radius 1
 # this many sites (at least one window), each chunk in one sweep: 11
 # windows at N = 24, one from N = 62 on
 CHUNK_SITES = 2**15
+# check_shell_gaps and check_average_bounds evaluate g over row bands of
+# at most this many sites (at least one row): 63 rows at N = 128, one
+# band up to N = 63
+BAND_SITES = 2**14
 
 
 def tail_slack(n: int) -> float:
@@ -259,6 +272,15 @@ def _cut(rect: Rect, region: Rect) -> tuple[slice, slice]:
     )
 
 
+def _bands(rect: Rect) -> Iterator[Rect]:
+    """rect in row bands of at most BAND_SITES sites (at least one row
+    each), top band first."""
+    rows = max(1, BAND_SITES // rect.width)
+    for top in range(rect.y1, rect.y0 - 1, -rows):
+        height = min(rows, top - rect.y0 + 1)
+        yield Rect(rect.x0, top - height + 1, rect.width, height)
+
+
 @dataclass(frozen=True)
 class AverageBoundReport:
     """Normalized windowed sum of g against the density-split bounds.
@@ -280,13 +302,20 @@ class AverageBoundReport:
 
 def check_average_bounds(g: PerturbedPotential, w: Window, region: Rect) -> AverageBoundReport:
     """The density-split bounds on w's normalized windowed sum over the
-    region; one pass of the evaluator gives both the region's bad count
-    and the sum."""
+    region; one pass of the evaluator, in row bands (see _bands), gives
+    both the region's bad count and the sum. The band's h go into one
+    contiguous array over the region, which numpy sums in birkhoff_sum's
+    grouping."""
     if not w.rect.contains_rect(region.inflate(1)):
         raise ValueError("insufficient margin")
     _check_symbols(w, g.sft)
-    bad, h = g.patch_parts(region_patches(w.array, w.rect, region))
-    return _average_report(g.gap, int(bad.sum()), g.sum_parts(bad, h), region.area)
+    bad = 0
+    h = np.empty((region.height, region.width))
+    for band in _bands(region):
+        band_bad, band_h = g.patch_parts(region_patches(w.array, w.rect, band))
+        bad += int(np.count_nonzero(band_bad))
+        h[_cut(region, band)] = band_h
+    return _average_report(g.gap, bad, g.sum_parts(bad, h), region.area)
 
 
 def _average_report(gap: float, bad: int, total: float, area: int) -> AverageBoundReport:
@@ -377,12 +406,17 @@ def check_shell_gaps(
     the order of a site-by-site replay; pending_i counts the sites of
     the whole shell i that are bad in the input and in state A.
 
-    The report also carries the region's bad-site count and windowed
-    sum (as birkhoff_sum gives it) in C and R, from the first and last
-    passes: each sum is taken on a contiguous copy of the region's
-    slice, which numpy sums in birkhoff_sum's grouping. With C's bad
-    sites it counts the changed sites that are not among them, so that
-    no mask outlives the call.
+    The four passes run band by band over the hull's rows (_four_states),
+    so the Chebyshev norms, the mixed states, the pattern codes and the
+    terms' masks exist for one band of at most BAND_SITES sites at a
+    time. Only what a band cannot finish spans the region: the terms
+    kept, with their keys (global rows), which one sort puts in replay
+    order; the bad counts and pending_i, summed over bands; and h in C
+    and in R, written into one contiguous array over the region each,
+    which numpy sums in birkhoff_sum's grouping, so the report carries
+    the region's bad-site count and windowed sum (as birkhoff_sum gives
+    it) in C and R. With C's bad sites it counts the changed sites that
+    are not among them, the changed mask too built band by band.
     """
     rect = corrupted.rect
     if repaired.rect != rect:
@@ -393,51 +427,51 @@ def check_shell_gaps(
         box = Rect.centered(n_shells - 1)
         x0, y0 = min(region.x0, box.x0), min(region.y0, box.y0)
         hull = Rect(x0, y0, max(region.x1, box.x1) - x0 + 1, max(region.y1, box.y1) - y0 + 1)
-    ys = rect.y1 - np.arange(rect.height)
-    xs = rect.x0 + np.arange(rect.width)
-    dist = region_patches(np.maximum.outer(np.abs(ys), np.abs(xs)), rect, hull)
-    norm = dist[PATCH_CENTER]  # the Chebyshev norm of each hull site
-    # symbols fit a byte (q <= 64 under SSF), which keeps the mixed states small
-    small = np.min_scalar_type(g.sft.q - 1)
-    before = region_patches(corrupted.array.astype(small), rect, hull)
-    after = region_patches(repaired.array.astype(small), rect, hull)
-
-    def states():  # C, A, B, R, one at a time
-        yield before
-        yield [np.where(d < norm, r, c) for d, r, c in zip(dist, after, before)]
-        yield [np.where(d <= norm, r, c) for d, r, c in zip(dist, after, before)]
-        yield after
-
-    height, width = norm.shape
-    cut = _cut(hull, region)
-    inside = np.zeros(norm.shape, dtype=bool)
-    inside[cut] = True
+    if not rect.contains_rect(hull.inflate(1)):
+        raise ValueError("insufficient margin")
+    height = hull.height
+    ends_h = [np.empty((region.height, region.width)) for _ in range(2)]  # C's and R's h
+    ends_bad = [0, 0]  # and their bad-site counts, over the region
+    pending = np.zeros(n_shells, dtype=np.int64)
+    allowed = 0  # changed sites that are bad in C, in the region
     keys, terms = [], []
-    ends = []  # C's and R's bad sites and windowed sum over the region
-    previous = None
-    for shift, patch in enumerate(states(), -2):
-        bad, h = g.patch_parts(patch)
-        value = h - bad
-        if shift in (-2, 1):
-            ends.append((bad[cut], g.sum_parts(bad[cut], np.ascontiguousarray(h[cut]))))
-        if shift == -2:  # the input's bad sites; the hull's are all evaluable
-            bad_in = bad
-        elif shift == -1:  # at a site of norm k, A is the window before shell k's repair
-            still_bad = bad_in & bad & (norm < n_shells)
-            pending = np.bincount(norm[still_bad], minlength=n_shells).tolist()
-        if previous is not None:  # shell k + shift gains value - previous at norm k
-            term = value - previous
-            keep = inside & (term != 0) & (norm >= -shift) & (norm < n_shells - shift)
-            at = np.flatnonzero(keep)
-            # key (shell, x, y): x-major, then y ascending, within a shell
-            row, col = np.divmod(at, width)
-            keys.append((norm[keep] + shift) * hull.area + col * height + (height - 1 - row))
-            terms.append(term[keep])
-        previous = value
+    for band, norm, states in _four_states(g, corrupted, repaired, hull):
+        inside = np.zeros(norm.shape, dtype=bool)
+        lo, hi = max(band.y0, region.y0), min(band.y1, region.y1)
+        part = None
+        if lo <= hi:  # the band holds rows of the region
+            part = Rect(region.x0, lo, region.width, hi - lo + 1)
+            cut = _cut(band, part)
+            inside[cut] = True
+        top = hull.y1 - band.y1  # the band's first row in the hull
+        previous = None
+        for shift, (bad, h) in enumerate(states, -2):
+            value = h - bad
+            if shift in (-2, 1) and part is not None:  # C or R, on the region's rows
+                ends_bad[shift == 1] += int(np.count_nonzero(bad[cut]))
+                ends_h[shift == 1][_cut(region, part)] = h[cut]
+            if shift == -2:  # the input's bad sites; the hull's are all evaluable
+                bad_in = bad
+            elif shift == -1:  # at a site of norm k, A is the window before shell k's repair
+                still_bad = bad_in & bad & (norm < n_shells)
+                pending += np.bincount(norm[still_bad], minlength=n_shells)
+            if previous is not None:  # shell k + shift gains value - previous at norm k
+                term = value - previous
+                keep = inside & (term != 0) & (norm >= -shift) & (norm < n_shells - shift)
+                # key (shell, x, y): x-major, then y ascending, within a shell
+                row, col = np.divmod(np.flatnonzero(keep), hull.width)
+                keys.append((norm[keep] + shift) * hull.area + col * height + (height - 1 - top - row))
+                terms.append(term[keep])
+            previous = value
+        if part is not None:
+            window_cut = _cut(rect, part)
+            changed = corrupted.array[window_cut] != repaired.array[window_cut]
+            allowed += int(np.count_nonzero(changed & bad_in[cut]))
     key = np.concatenate(keys)
     order = np.argsort(key)
     sorted_terms = np.concatenate(terms)[order].tolist()
     bounds = np.searchsorted(key[order], np.arange(n_shells + 1) * hull.area).tolist()
+    pending = pending.tolist()
 
     gap = g.gap
     site_coeff = 1.0 - SHELL_SITE_COEFF * gap
@@ -463,20 +497,60 @@ def check_shell_gaps(
     if not rows:
         min_margin = 0.0
         min_literal = 0.0
-    (input_bad, input_sum), (output_bad, output_sum) = ends
-    changed = corrupted.array != repaired.array
-    allowed = int((changed[_cut(rect, region)] & input_bad).sum())
     return ShellGapReport(
         tuple(rows),
         min_margin,
         min_literal,
         ok,
-        input_bad_count=int(input_bad.sum()),
-        input_sum=input_sum,
-        output_bad_count=int(output_bad.sum()),
-        output_sum=output_sum,
-        stray_changes=int(changed.sum()) - allowed,
+        input_bad_count=ends_bad[0],
+        input_sum=g.sum_parts(ends_bad[0], ends_h[0]),
+        output_bad_count=ends_bad[1],
+        output_sum=g.sum_parts(ends_bad[1], ends_h[1]),
+        stray_changes=_count_changed(corrupted.array, repaired.array) - allowed,
     )
+
+
+def _four_states(
+    g: PerturbedPotential, corrupted: Window, repaired: Window, hull: Rect
+) -> Iterator[tuple[Rect, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]]:
+    """check_shell_gaps' four window states, band by band: for each row
+    band of the hull (see _bands), top band first, the band, the
+    Chebyshev norm of each of its sites, and an iterator over
+    patch_parts' (bad, h) there in C, A, B and R, in that order. The norms, the symbols and the
+    mixed states are built for the band alone; the hull inflated by one
+    must fit in the windows' domain."""
+    rect = corrupted.rect
+    # symbols fit a byte (q <= 64 under SSF), which keeps the mixed states small
+    small = np.min_scalar_type(g.sft.q - 1)
+    for band in _bands(hull):
+        around = band.inflate(1)
+        ys = around.y1 - np.arange(around.height)
+        xs = around.x0 + np.arange(around.width)
+        dist = region_patches(np.maximum.outer(np.abs(ys), np.abs(xs)), around, band)
+        cut = _cut(rect, around)
+        before = region_patches(corrupted.array[cut].astype(small), around, band)
+        after = region_patches(repaired.array[cut].astype(small), around, band)
+        yield band, dist[PATCH_CENTER], _band_states(g, dist, before, after)
+
+
+def _band_states(
+    g: PerturbedPotential, dist: list[np.ndarray], before: list[np.ndarray], after: list[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """patch_parts' (bad, h) in C, A, B and R at the sites of one band,
+    given the nine patch arrays of the Chebyshev norms, the input and
+    the output; each mixed state is built when its turn comes."""
+    norm = dist[PATCH_CENTER]
+    yield g.patch_parts(before)
+    yield g.patch_parts([np.where(d < norm, r, c) for d, r, c in zip(dist, after, before)])
+    yield g.patch_parts([np.where(d <= norm, r, c) for d, r, c in zip(dist, after, before)])
+    yield g.patch_parts(after)
+
+
+def _count_changed(a: np.ndarray, b: np.ndarray) -> int:
+    """The number of entries where the two arrays of one shape differ,
+    counted in row bands of at most BAND_SITES entries."""
+    rows = max(1, BAND_SITES // a.shape[1])
+    return sum(int(np.count_nonzero(a[k : k + rows] != b[k : k + rows])) for k in range(0, len(a), rows))
 
 
 @dataclass(frozen=True)
@@ -607,11 +681,12 @@ def run_trial(cfg: TrialConfig, index: int, chunk: TrialChunk | None = None) -> 
     corrupted = corrupt(base, sft.q, cfg.corrupt_rate, rng)
     h = sample_perturbation(cfg.cap, cfg.support_size, sft.q, rng)
     g = PerturbedPotential.build(sft, h)
-    result = repair(corrupted, sft, cfg.n, rule=cfg.rule, rng=rng)
     region = cfg.region
-
-    # one evaluation per window state (see the module docstring)
+    # one evaluation per window state (see the module docstring); the
+    # admissible window's comes first, so that it is freed before repair
     admissible_check = check_average_bounds(g, base, region)
+    del base
+    result = repair(corrupted, sft, cfg.n, rule=cfg.rule, rng=rng)
     shell_check = check_shell_gaps(g, corrupted, result.window, result.shell_sizes, region)
     bad_total = result.total_bad
     if bad_total != shell_check.input_bad_count:

@@ -175,12 +175,13 @@ class PerturbedPotential:
             h[at[hit]] = vals[idx[hit]]
         return bad, h.reshape(bad.shape)
 
-    def sum_parts(self, bad: np.ndarray, h: np.ndarray) -> float:
-        """The sum of g over the sites of patch_parts' (bad, h): minus
-        the bad count plus numpy's sum of h, which is left out for an
-        empty table. numpy groups a sum by the array's layout, so equal
-        sums need h of one shape and contiguous."""
-        total = -float(bad.sum())
+    def sum_parts(self, bad: int, h: np.ndarray) -> float:
+        """The sum of g over some sites, given the number of bad sites
+        among them and patch_parts' h there: minus the bad count plus
+        numpy's sum of h, which is left out for an empty table. numpy
+        groups a sum by the array's layout, so equal sums need h of one
+        shape and contiguous."""
+        total = -float(bad)
         if self.h.support_size:
             total += float(h.sum())
         return total
@@ -276,7 +277,8 @@ def birkhoff_sum(g: PerturbedPotential, w: Window, region: Rect) -> float:
     summand has its full 3x3 patch stored. The sum is minus the bad
     count plus the numpy sum of h in row-major order, top row first.
     """
-    return g.sum_parts(*g.patch_parts(region_patches(w.array, w.rect, region)))
+    bad, h = g.patch_parts(region_patches(w.array, w.rect, region))
+    return g.sum_parts(int(np.count_nonzero(bad)), h)
 
 
 def _check_sampling(cap: float, support_size: int, q: int) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +308,78 @@ def test_shell_gap_sums_are_birkhoff_sums_on_a_wider_hull(seed):
     assert repr(rep.output_sum) == repr(birkhoff_sum(g, out, region))
 
 
+BAND_SPECS = [HS, checkerboard(5), checkerboard(6), *random_ssf_sfts(2, seed=4242)]
+BAND_CASES = [
+    (k, rule, rate) for k in range(len(BAND_SPECS)) for rule in ("smallest", "random")
+    for rate in (0.0, 0.15, 1.0)
+]
+
+
+@pytest.mark.parametrize("k, rule, rate", BAND_CASES)
+def test_row_bands_give_identical_reports(monkeypatch, k, rule, rate):
+    # one row per band, three rows, and one band over the whole hull
+    # (which is the region here): every report and the CSV to the bit
+    sft = BAND_SPECS[k]
+    n = (2, 3, 9, 17, 40)[BAND_CASES.index((k, rule, rate)) % 5]
+    cfg = TrialConfig(sft=sft, n=n, rule=rule, corrupt_rate=rate, trials=2, seed=31 + k,
+                      support_size=min(sft.q**9, 512))
+    results = []
+    for band_sites in (1, 3 * (2 * n + 1), 2**62):
+        monkeypatch.setattr(harness, "BAND_SITES", band_sites)
+        results.append(run_experiment(cfg))
+    first = results[0]
+    for other in results[1:]:
+        assert other.csv_text == first.csv_text
+        for a, b in zip(first.reports, other.reports):
+            for name in ("admissible_check", "corrupted_check", "shell_check"):
+                assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_row_bands_on_a_hull_wider_than_the_region(monkeypatch, seed):
+    # bands that miss the region, or hold only some of its rows, when the
+    # last shell's box reaches past the region; every pattern stored
+    rng = np.random.default_rng(seed)
+    sft = random_sft(rng, q_hi=3)
+    n = int(rng.integers(2, 12))
+    rect = Rect.centered(n + 2)
+    w, out = (random_window(rect, sft.q, rng) for _ in range(2))
+    x0, x1 = sorted(rng.integers(-n - 1, n + 2, size=2).tolist())
+    y0, y1 = sorted(rng.integers(-n - 1, n + 2, size=2).tolist())
+    region = Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+    g = PerturbedPotential.build(sft, sample_perturbation(0.01, sft.q**9, sft.q, rng))
+    sizes = rng.integers(0, 5, size=n + 1).tolist()
+    hull_width = max(x1, n) - min(x0, -n) + 1
+    reports = []
+    for shell_band, average_band in ((1, 1), (3 * hull_width, 3 * region.width), (2**62, 2**62)):
+        monkeypatch.setattr(harness, "BAND_SITES", shell_band)
+        shells = check_shell_gaps(g, w, out, sizes, region)
+        monkeypatch.setattr(harness, "BAND_SITES", average_band)
+        reports.append(repr((shells, check_average_bounds(g, w, region))))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_shell_gaps_working_set_is_bounded_by_bands():
+    # tracemalloc counts numpy's buffers: above its inputs, the pass may
+    # hold a band's temporaries and, over the region, C's and R's h (16
+    # bytes per site) and the kept terms; the whole-hull passes held
+    # about 75 bytes per site here
+    rng = np.random.default_rng(0)
+    sft = checkerboard(5)
+    n = 200
+    w = corrupt(sample_admissible(sft, n + 2, rng), sft.q, 0.15, rng)
+    g = PerturbedPotential.build(sft, sample_perturbation(1 / 384, 8, sft.q, rng))
+    res = repair(w, sft, n)
+    region = Rect.centered(n)
+    tracemalloc.start()
+    try:
+        check_shell_gaps(g, w, res.window, res.shell_sizes, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * region.area
+
+
 def test_total_gap_admissible():
     g = _zero_g()
     w = Window.filled(Rect.centered(6), 0)
@@ -375,7 +448,7 @@ def test_run_trial_matches_reference_assembly(k, n, support, rule, rate, seed):
 
 def test_run_trial_evaluates_each_window_state_once(monkeypatch):
     # base, input, two mixed states and output: five passes of the
-    # evaluator; the one bad-site mask is repair's
+    # evaluator, each one band at these N; the one bad-site mask is repair's
     calls = []
     evaluate = PerturbedPotential.patch_parts
 
