@@ -9,8 +9,9 @@ BLAS call, the strip matvec's tensordot, has an inner dimension of q,
 too small for a second thread to pay, and an idle worker still spins
 and burns CPU. The pin acts whenever nnsft, or any of its modules, is
 imported before numpy; a thread pool that numpy has already started
-keeps its size. The three variables stay set, so processes started
-later inherit them.
+keeps its size. Every CLI command runs this file first, through
+`nnsft.cli`, though each imports its other modules only when it runs.
+The three variables stay set, so processes started later inherit them.
 
 Each public name is imported from its module, e.g.
 `from nnsft.repair import repair`; importing the package alone loads

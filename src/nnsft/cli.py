@@ -4,6 +4,9 @@ Exit codes: 0 on success / all checks passing, 1 when a check fails or
 a violation is found, 2 on input errors (bad flags, unparsable files).
 Every command is deterministic given its flags; repeated invocations
 produce byte-identical output.
+
+Each command imports the modules it runs when it runs, so `check` loads
+only `sft`, and `repair` and `entropy` no harness or potentials.
 """
 
 from __future__ import annotations
@@ -12,20 +15,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from .entropy import ConvergenceError, strip_entropy
-from .harness import (
-    DEFAULT_CAP,
-    DEFAULT_EPSILON,
-    TrialConfig,
-    _check_corrupt_rate,
-    corrupt,
-    run_experiment,
-    sample_admissible,
-)
-from .lattice import parse_window, render_window
-from .repair import repair
 from .sft import find_safe_symbols, load_sft
 
 
@@ -47,8 +36,15 @@ def parse_ratio(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nnsft",
         description=(
             "Nearest-neighbor Z^2 SFT toolkit: fillability checks, admissible "
@@ -98,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--size", type=int, default=24, help="box radius N (default 24)")
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--seed", type=seed, default=0)
-    p_verify.add_argument("--epsilon", type=parse_ratio, default=DEFAULT_EPSILON,
-                          help="nominal norm-gap hypothesis (default 1/64)")
-    p_verify.add_argument("--cap", type=parse_ratio, default=DEFAULT_CAP,
-                          help="perturbation coefficient cap (default 1/384)")
+    # string defaults go through parse_ratio, giving harness.DEFAULT_EPSILON and DEFAULT_CAP
+    p_verify.add_argument("--epsilon", type=parse_ratio, default="1/64",
+                          help="nominal norm-gap hypothesis (default %(default)s)")
+    p_verify.add_argument("--cap", type=parse_ratio, default="1/384",
+                          help="perturbation coefficient cap (default %(default)s)")
     p_verify.add_argument("--corrupt", type=parse_ratio, default=0.15, metavar="RATE")
     p_verify.add_argument("--support", type=int, default=8,
                           help="perturbation support size (default 8)")
@@ -133,6 +130,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .harness import _check_corrupt_rate, corrupt, sample_admissible
+    from .lattice import render_window
+
     sft = load_sft(args.spec)
     _check_corrupt_rate(args.corrupt)  # before the window is sampled
     rng = np.random.default_rng(args.seed)
@@ -150,6 +152,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .lattice import parse_window, render_window
+    from .repair import repair
+
     sft = load_sft(args.spec)
     with open(args.window, "r", encoding="utf-8") as f:
         w = parse_window(f.read())
@@ -173,6 +180,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    from .harness import TrialConfig, run_experiment
+
     sft = load_sft(args.spec)
     cfg = TrialConfig(
         sft=sft,
@@ -194,8 +203,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
+    from .entropy import ConvergenceError, strip_entropy
+
     sft = load_sft(args.spec)
-    res = strip_entropy(sft, args.strip_width, tol=args.tol)
+    try:
+        res = strip_entropy(sft, args.strip_width, tol=args.tol)
+    except ConvergenceError as exc:
+        raise ValueError(str(exc)) from exc
     print(f"entropy_per_site {res.value!r} strip_width {res.strip_width} states {res.states}")
     print("logarithm natural")
     return 0
@@ -218,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, ConvergenceError) as exc:  # parse and empty-subshift errors are ValueErrors
+    except (ValueError, OSError) as exc:  # parse and empty-subshift errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,11 +26,10 @@ from math import inf, log
 
 import numpy as np
 
-from .sft import NnSft
+from .sft import STATE_ENUM_GUARD, NnSft
 
 MAX_STRIP_WIDTH = 64
 TOL_FLOOR = 2.0**-52  # machine epsilon: the relative rounding floor of the residual
-STATE_ENUM_GUARD = 2_000_000
 
 
 class EmptySubshiftError(ValueError):
@@ -102,11 +101,6 @@ class StripTransfer:
             steps.append((cols, a * len(words[j]) + i))
         h_ok = (~sft.h_table).astype(float)
         return cls(sft, m, words[m], tuple(steps), h_ok)
-
-    def states(self) -> list[tuple[int, ...]]:
-        """Admissible columns, bottom symbol first, lexicographic order."""
-        digits = self.codes[:, None] // self.sft.q ** np.arange(self.m - 1, -1, -1) % self.sft.q
-        return [tuple(int(s) for s in row) for row in digits]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """T @ v for a vector over the states in lexicographic order."""

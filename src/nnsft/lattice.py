@@ -18,10 +18,12 @@ top row (largest y) first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Site = tuple[int, int]
 SparsePatch = dict[Site, int]
@@ -73,12 +75,6 @@ class Rect:
     def inflate(self, k: int) -> "Rect":
         """Grow (or shrink, k < 0) by k sites on every edge."""
         return Rect(self.x0 - k, self.y0 - k, self.width + 2 * k, self.height + 2 * k)
-
-    def sites(self) -> Iterator[Site]:
-        """Row-major iteration, top row first."""
-        for y in range(self.y1, self.y0 - 1, -1):
-            for x in range(self.x0, self.x1 + 1):
-                yield (x, y)
 
     def centered_radius(self) -> int:
         """Largest n with [-n, n]^2 inside this rectangle (-1 if none)."""
@@ -171,6 +167,8 @@ class MetricResult:
 
 def metric_exact(w: Window, v: Window) -> MetricResult:
     """Dyadic distance between same-domain windows; see MetricResult."""
+    from fractions import Fraction  # imported by its one user, which no CLI command calls
+
     if w.rect != v.rect:
         raise ValueError("mismatched domains")
     diff = w.array != v.array

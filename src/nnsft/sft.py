@@ -26,14 +26,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattice import Rect, Site, Window
+if TYPE_CHECKING:  # `check` runs nothing of lattice, so it is not loaded for it
+    from .lattice import Rect, Site, Window
 
 Pair = tuple[int, int]
 
 SSF_BRUTE_FORCE_LIMIT = 64  # q**4 boundaries; also the width of a uint64 center mask
+STATE_ENUM_GUARD = 2_000_000  # strip states entropy may enumerate; load_sft refuses past it
 
 # rows of NnSft.fill_table, in the order of an SSF witness
 NORTH, SOUTH, EAST, WEST = range(4)
@@ -129,10 +132,6 @@ class BadSites:
     sites: frozenset[Site]
     evaluable: Rect | None  # None when the window is too thin to evaluate anywhere
 
-    @property
-    def count(self) -> int:
-        return len(self.sites)
-
 
 class SymbolRangeError(ValueError):
     def __init__(self, site: Site, symbol: int, q: int):
@@ -166,6 +165,8 @@ def bad_site_mask(w: Window, sft: NnSft) -> tuple[np.ndarray, Rect | None]:
     right = sft.h_table[arr[1:, :-1], arr[1:, 1:]]
     up = sft.v_table[arr[1:, :-1], arr[:-1, :-1]]
     mask[1:, :-1] = right | up
+    from .lattice import Rect
+
     return mask, Rect(w.rect.x0, w.rect.y0, w.rect.width - 1, w.rect.height - 1)
 
 
@@ -288,13 +289,6 @@ def parse_sft(text: str) -> NnSft:
     return NnSft(q, frozenset(hf), frozenset(vf))
 
 
-def render_sft(sft: NnSft) -> str:
-    lines = [f"alphabet {sft.q}"]
-    lines.extend(f"hforbid {a} {b}" for a, b in sorted(sft.hforbid))
-    lines.extend(f"vforbid {a} {b}" for a, b in sorted(sft.vforbid))
-    return "\n".join(lines) + "\n"
-
-
 def load_sft(spec: str) -> NnSft:
     """Resolve a built-in name (hardsquare, checkerboard:<k>, full:<q>) or
     read and parse a spec file."""
@@ -305,7 +299,6 @@ def load_sft(spec: str) -> NnSft:
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad checkerboard spec {spec!r}; expected checkerboard:<k>")
-        from .entropy import STATE_ENUM_GUARD  # entropy imports this module
         # refused before the pairs are built: past q = 64 only entropy runs, on q**2 states
         if k * k > STATE_ENUM_GUARD:
             raise ValueError(f"checkerboard:{k} is too large: no command runs for k**2 > {STATE_ENUM_GUARD}")

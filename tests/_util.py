@@ -39,6 +39,11 @@ def window_from_rows(x0: int, y0: int, rows: list[list[int]]) -> Window:
     return Window(Rect(x0, y0, width, height), np.array(rows, dtype=np.int64))
 
 
+def rect_sites(rect: Rect) -> list[tuple[int, int]]:
+    """A rectangle's sites, row-major with the top row first."""
+    return [(x, y) for y in range(rect.y1, rect.y0 - 1, -1) for x in range(rect.x0, rect.x1 + 1)]
+
+
 def random_window(rect: Rect, q: int, rng: np.random.Generator) -> Window:
     return Window(rect, rng.integers(0, q, size=(rect.height, rect.width)), _copy=False)
 
@@ -67,6 +72,18 @@ def random_ssf_sfts(
         if check_ssf(sft).ok:
             out.append(sft)
     return out
+
+
+def spec_text(sft: NnSft, rng: np.random.Generator) -> str:
+    """Spec-file text for sft, written without the package's code: a
+    comment, the alphabet line, then each forbidden pair once or twice,
+    shuffled among a blank line and comments, some of them trailing."""
+    lines = ["", "# a comment"]
+    for key, pairs in (("hforbid", sft.hforbid), ("vforbid", sft.vforbid)):
+        for a, b in sorted(pairs):
+            lines += [f"{key} {a} {b}" + ("  # trailing" if rng.random() < 0.2 else "")] * int(rng.integers(1, 3))
+    rng.shuffle(lines)
+    return "\n".join(["# spec", f"alphabet {sft.q}", *lines]) + "\n"
 
 
 def random_sft(rng: np.random.Generator, q_hi: int = 5) -> NnSft:

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import nnsft.sft as sft_module
-from nnsft.cli import main, parse_ratio
+from nnsft import harness
+from nnsft.cli import build_parser, main, parse_ratio
+from nnsft.entropy import ConvergenceError
 from nnsft.lattice import parse_window
-from nnsft.sft import NnSft, bad_sites, hard_square, parse_sft, render_sft
+from nnsft.sft import NnSft, bad_sites, hard_square, parse_sft
 
-from _util import forbidden_pairs
+from _util import forbidden_pairs, spec_text
 
 
 def run_cli(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
@@ -33,6 +35,14 @@ def test_parse_ratio():
     for bad in ("1/0", "0/0", "nan", "inf", "-inf", "1e999", "1" + "0" * 400 + "/1"):
         with pytest.raises(ValueError):
             parse_ratio(bad)
+
+
+def test_epsilon_and_cap_defaults_are_the_harness_defaults():
+    # the parser holds them as text, so it needs no harness to build
+    assert parse_ratio("1/64") == harness.DEFAULT_EPSILON
+    assert parse_ratio("1/384") == harness.DEFAULT_CAP
+    args = build_parser().parse_args(["verify", "--spec", "hardsquare"])
+    assert (args.epsilon, args.cap) == (harness.DEFAULT_EPSILON, harness.DEFAULT_CAP)
 
 
 def test_check_hardsquare():
@@ -66,8 +76,19 @@ def test_input_errors_exit_2(tmp_path):
     res = run_cli("check", "--spec", str(bad))
     assert res.returncode == 2
     assert "line 2" in res.stderr
-    assert run_cli("check", "--nonsense").returncode == 2
-    assert run_cli("frobnicate").returncode == 2
+    # argparse's own refusals: one line naming the command, no usage block
+    for args in (
+        ("check", "--nonsense"),
+        ("check", "--spec", "hardsquare", "--nonsense"),
+        ("frobnicate",),
+        ("verify", "--size", "4"),
+        ("verify", "--spec", "hardsquare", "--corrupt", "nan"),
+        ("verify", "--spec", "hardsquare", "--epsilon", "1/0"),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert len(res.stderr.splitlines()) == 1, args
+        assert res.stderr.startswith(("nnsft: error: ", f"nnsft {args[0]}: error: ")), args
     # a symbol of 2**63 or more, and a header far wider than its rows
     big = tmp_path / "big.txt"
     big.write_text("window -2 -2 5 5\n" + "0 0 0 0 0\n" * 2 + "0 0 99999999999999999999 0 0\n" + "0 0 0 0 0\n" * 2)
@@ -99,8 +120,7 @@ def test_input_errors_exit_2(tmp_path):
     ):
         res = run_cli(*args)
         assert res.returncode == 2, args
-        assert "Traceback" not in res.stderr, args
-        assert "error:" in res.stderr.splitlines()[-1], args
+        assert len(res.stderr.splitlines()) == 1 and "error:" in res.stderr, args
     # a negative seed: one argparse type names the flag, for the rule
     # smallest too, which draws nothing
     clean = tmp_path / "clean.txt"
@@ -113,7 +133,8 @@ def test_input_errors_exit_2(tmp_path):
     ):
         res = run_cli(*args)
         assert res.returncode == 2, args
-        assert "argument --seed: must be a nonnegative integer" in res.stderr.splitlines()[-1], args
+        assert len(res.stderr.splitlines()) == 1, args
+        assert f"nnsft {args[0]}: error: argument --seed: must be a nonnegative integer" in res.stderr, args
 
 
 def test_sample_and_repair_round_trip(tmp_path):
@@ -125,7 +146,7 @@ def test_sample_and_repair_round_trip(tmp_path):
     assert res.returncode == 0
     w = parse_window(raw.read_text())
     assert w.rect.centered_radius() == 9
-    assert bad_sites(w, hard_square()).count > 0
+    assert bad_sites(w, hard_square()).sites
 
     res = run_cli("repair", "--spec", "hardsquare", "--window", str(raw))
     assert res.returncode == 0
@@ -158,7 +179,7 @@ def test_sample_corrupt_rate_outside_unit_interval_exits_2(monkeypatch, capsys):
     def refuse(*_):  # a rate outside [0, 1] is refused before sampling
         raise AssertionError("sampled before refusing")
 
-    monkeypatch.setattr("nnsft.cli.sample_admissible", refuse)
+    monkeypatch.setattr("nnsft.harness.sample_admissible", refuse)
     for rate in ("-0.5", "1.5"):
         assert main([*args, "--corrupt", rate]) == 2
         out, err = capsys.readouterr()
@@ -172,7 +193,7 @@ def test_bad_sampling_arguments_refused_before_sampling(monkeypatch, capsys):
         raise AssertionError("sampled before refusing")
 
     monkeypatch.setattr("nnsft.harness.sample_admissible_stack", refuse)
-    monkeypatch.setattr("nnsft.cli.sample_admissible", refuse)
+    monkeypatch.setattr("nnsft.harness.sample_admissible", refuse)
     verify = ["verify", "--spec", "hardsquare", "--size", "1000", "--trials", "1"]
     for args, message in (
         ([*verify, "--support", "2097153"], "support_size 2097153 exceeds the 512 distinct patterns"),
@@ -329,6 +350,29 @@ def test_each_module_imports_as_itself_and_the_package_loads_no_numpy():
     assert res.returncode == 0, res.stderr
 
 
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # each command imports its modules when it runs: check loads only sft
+    # of the package, repair and entropy no harness; nothing is timed
+    window = tmp_path / "w.txt"
+    window.write_text("window -2 -2 5 5\n" + "0 0 0 0 0\n" * 5)
+    probe = "import sys\nfrom nnsft.cli import main\nmain(sys.argv[1:])\nprint(*sorted(sys.modules))\n"
+    trial_layers = {"nnsft.harness", "nnsft.potentials", "nnsft.repair", "nnsft.lattice", "nnsft.sft"}
+    for args, absent, present in (
+        (("check", "--spec", "hardsquare"),
+         {"nnsft.harness", "nnsft.potentials", "nnsft.repair", "nnsft.entropy", "nnsft.lattice", "fractions"},
+         {"nnsft.sft"}),
+        (("entropy", "--spec", "hardsquare", "--strip-width", "4"),
+         {"nnsft.harness", "nnsft.potentials"}, {"nnsft.entropy"}),
+        (("repair", "--spec", "hardsquare", "--window", str(window)),
+         {"nnsft.harness", "nnsft.potentials"}, {"nnsft.repair"}),
+        (("verify", "--spec", "hardsquare", "--size", "3", "--trials", "1"), set(), trial_layers),
+    ):
+        res = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, (args, res.stderr)
+        loaded = set(res.stdout.splitlines()[-1].split())
+        assert not absent & loaded and present <= loaded, (args, absent & loaded, present - loaded)
+
+
 def test_verify_rational_epsilon_and_hypothesis_guard():
     res = run_cli(
         "verify", "--spec", "hardsquare", "--size", "8", "--trials", "1",
@@ -341,6 +385,16 @@ def test_verify_rational_epsilon_and_hypothesis_guard():
     )
     assert res.returncode == 2
     assert "hypothesis" in res.stderr
+
+
+def test_entropy_convergence_failure_exits_2(monkeypatch, capsys):
+    def stall(*_, **__):
+        raise ConvergenceError("power iteration did not certify convergence in 3 steps")
+
+    # the command looks strip_entropy up on its module when it runs
+    monkeypatch.setattr("nnsft.entropy.strip_entropy", stall)
+    assert main(["entropy", "--spec", "hardsquare"]) == 2
+    assert capsys.readouterr() == ("", "error: power iteration did not certify convergence in 3 steps\n")
 
 
 def test_entropy_output():
@@ -408,4 +462,4 @@ def test_spec_render_parse_round_trip_random():
             for _ in range(int(rng.integers(0, q * q + 1)))
         )
         sft = NnSft(q, hf, vf)
-        assert parse_sft(render_sft(sft)) == sft
+        assert parse_sft(spec_text(sft, rng)) == sft

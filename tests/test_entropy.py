@@ -141,7 +141,8 @@ def test_transitions_match_dense_oracle():
     )
     for sft, m in cases:
         transfer = StripTransfer.build(sft, m)
-        cols = transfer.states()
+        # each code's base-q digits, bottom symbol first
+        cols = [tuple(code // sft.q**k % sft.q for k in range(m - 1, -1, -1)) for code in transfer.codes.tolist()]
         dense = _dense_transfer(sft, m)
         # lexicographic order, the order the dense construction lists them in
         assert cols == sorted(set(cols)) and len(cols) == dense.shape[0] == transfer.state_count

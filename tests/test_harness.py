@@ -38,6 +38,7 @@ from _util import (
     random_sft,
     random_ssf_sfts,
     random_window,
+    rect_sites,
     reference_decompose,
     reference_run_trial,
     reference_shell_rows,
@@ -477,7 +478,7 @@ def test_run_trial_locality_failures(monkeypatch):
 
     def not_bad(w):
         bad = bad_sites(w, HS).sites
-        return next(s for s in cfg.region.sites() if s not in bad)
+        return next(s for s in rect_sites(cfg.region) if s not in bad)
 
     def bad_outside_box(w):
         return min(s for s in bad_sites(w, HS).sites if max(map(abs, s)) == cfg.n + 1)

@@ -31,6 +31,7 @@ from _util import (
     random_sft,
     random_ssf_sfts,
     random_window,
+    rect_sites,
     reference_code_lookup,
     reference_sample_perturbation,
     reference_seminorm,
@@ -76,7 +77,7 @@ def test_eval_potential_with_coefficient():
     h = RangeOnePerturbation({pat: 0.001}, cap=0.002)
     g = _g(h=h)
     w = Window.filled(Rect.centered(3), 0)
-    for x, y in Rect.centered(2).sites():
+    for x, y in rect_sites(Rect.centered(2)):
         assert g.value(w, x, y) == pytest.approx(0.001)
 
 
@@ -87,7 +88,7 @@ def test_value_matches_pattern_oracle():
         h = sample_perturbation(0.01, int(rng.integers(0, 40)), sft.q, rng)
         g = PerturbedPotential.build(sft, h)
         w = random_window(Rect(-3, -2, 9, 7), sft.q, rng)
-        sites = list(Rect(-2, -1, 7, 5).sites())
+        sites = rect_sites(Rect(-2, -1, 7, 5))
         xs, ys = np.array(sites).T
         expected = [potential_oracle(g, w, x, y) for x, y in sites]
         assert g.value(w, xs, ys).tolist() == expected
@@ -99,7 +100,7 @@ def test_penalty_level_constancy():
     g = _g(h=sample_perturbation(0.01, 200, 2, rng))
     for _ in range(50):
         w1 = random_window(Rect.centered(3), 2, rng)
-        patch = {u: w1.get(u) for u in Rect.centered(1).sites()}
+        patch = {u: w1.get(u) for u in rect_sites(Rect.centered(1))}
         w2 = random_window(Rect.centered(3), 2, rng).with_patch(patch)
         assert _level(g, w1) == _level(g, w2)
         assert g.value(w1, 0, 0) == g.value(w2, 0, 0)
@@ -433,7 +434,7 @@ def test_birkhoff_matches_sitewise_eval():
             g = PerturbedPotential.build(sft, h)
             w = random_window(Rect.centered(5), sft.q, rng)
             region = Rect.centered(3)
-            direct = sum(float(g.value(w, x, y)) for x, y in region.sites())
+            direct = sum(float(g.value(w, x, y)) for x, y in rect_sites(region))
             assert birkhoff_sum(g, w, region) == pytest.approx(direct, abs=1e-12)
 
 

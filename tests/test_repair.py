@@ -11,6 +11,7 @@ from _util import (
     patch_admissible_around,
     random_ssf_sfts,
     random_window,
+    rect_sites,
     shell_windows,
 )
 
@@ -194,7 +195,7 @@ def test_repair_all_ones_window():
     hs = hard_square()
     w = Window.filled(Rect.centered(5), 1)
     res = repair(w, hs, 4)
-    box4 = set(Rect.centered(4).sites())
+    box4 = set(rect_sites(Rect.centered(4)))
     assert changed_sites(w, res.window) == box4  # every site of the box was bad
     assert not (bad_sites(res.window, hs).sites & box4)
     # smallest-symbol rule rewrites everything to the safe symbol

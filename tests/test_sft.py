@@ -18,10 +18,9 @@ from nnsft.sft import (
     hard_square,
     load_sft,
     parse_sft,
-    render_sft,
 )
 
-from _util import forbidden_pairs, pair_scan_bad_sites, random_window, window_from_rows
+from _util import forbidden_pairs, pair_scan_bad_sites, random_window, rect_sites, spec_text, window_from_rows
 
 
 def test_violations_symbol_range():
@@ -42,14 +41,14 @@ def test_bad_sites_examples():
 
     ones = Window.filled(Rect.centered(2), 1)
     bs = bad_sites(ones, hs)
-    assert bs.count == 16
+    assert len(bs.sites) == 16
     assert bs.sites == {(x, y) for x in range(-2, 2) for y in range(-2, 2)}
 
 
 def test_bad_sites_thin_window():
     w = window_from_rows(0, 0, [[1, 1, 1]])
     bs = bad_sites(w, hard_square())
-    assert bs.evaluable is None and bs.count == 0
+    assert bs.evaluable is None and not bs.sites
 
 
 def test_bad_sites_matches_pair_scan_oracle():
@@ -76,7 +75,7 @@ def test_penalty_matches_bad_sites():
     rng = np.random.default_rng(41)
     hs = hard_square()
     g = PerturbedPotential.build(hs, RangeOnePerturbation({}, 1.0))
-    inner = list(Rect.centered(2).sites())
+    inner = rect_sites(Rect.centered(2))
     xs, ys = np.array(inner).T
     for _ in range(20):
         w = random_window(Rect.centered(3), 2, rng)
@@ -183,7 +182,7 @@ def test_parse_sft_round_trip():
         )
         cases.append(NnSft(q, hf, vf))
     for sft in cases:
-        assert parse_sft(render_sft(sft)) == sft
+        assert parse_sft(spec_text(sft, rng)) == sft
 
 
 def test_parse_sft_specifics():
@@ -205,8 +204,8 @@ def test_load_sft_builtins(tmp_path):
     assert load_sft("checkerboard:5") == checkerboard(5)
     assert load_sft("full:3") == full_shift(3)
     path = tmp_path / "spec.txt"
-    path.write_text(render_sft(checkerboard(7)))
-    assert load_sft(str(path)) == checkerboard(7)
+    path.write_text("alphabet 3\nhforbid 0 0\nhforbid 1 1\nhforbid 2 2\nvforbid 0 0\nvforbid 1 1\nvforbid 2 2\n")
+    assert load_sft(str(path)) == checkerboard(3)
     with pytest.raises(ValueError, match="no such"):
         load_sft("nonsense:spec")
 
