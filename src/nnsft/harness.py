@@ -17,8 +17,8 @@ certified norm gap of g (never the looser nominal value):
   but yield no improvement, so the bound taken over the full |S_i| is
   genuinely violated on a few percent of random trials; the harness
   records that literal margin without asserting it. The per-shell sums
-  come from the repair's input, its output and its shell sizes alone
-  (see check_shell_gaps), so no intermediate window is built;
+  and counts come from the repair's input and output alone (see
+  check_shell_gaps), so no intermediate window is built;
 * total improvement: summed over shells and with a dyadic tail
   allowance 2*(8N+8) for the influence of the first unrepaired shell,
   the window-averaged improvement is at least
@@ -27,13 +27,14 @@ certified norm gap of g (never the looser nominal value):
 A trial evaluates g once per window state. check_average_bounds does
 so on the admissible window, before repair, which frees that window;
 check_shell_gaps does so on the corrupted window, two mixed states and
-the repaired window, and its report also carries the region's bad count
-and windowed sum in the corrupted and repaired windows, and the number
+the repaired window over the box of radius N, the region. Its report
+also carries the corrupted window's bad count on each shell, the
+repaired window's bad count, the windowed sum of both, and the number
 of sites repair changed other than the corrupted window's bad sites in
-the region. From those run_trial builds the corrupted window's average
-bound, through the same helper as check_average_bounds, the total
-bound, and its locality and cleanliness checks, so it builds no
-bad-site mask of its own.
+the region. run_trial checks those shell counts against repair's own,
+and builds from them the corrupted window's average bound, through the
+same helper as check_average_bounds, the total bound, and its locality
+and cleanliness checks, so it builds no bad-site mask of its own.
 
 Both checks evaluate g over row bands of at most BAND_SITES sites, so
 their working set is a band's temporaries plus what must span the
@@ -355,7 +356,8 @@ class ShellGapRow:
 
 @dataclass(frozen=True)
 class ShellGapReport:
-    """Observed per-shell improvements against their lower bounds.
+    """Observed per-shell improvements against their lower bounds, one
+    row per shell 0..n of the box of radius n.
 
     The asserted bound counts the sites a shell's repair still has to
     fix when its turn comes (pending). Sites of S_i already validated
@@ -363,166 +365,144 @@ class ShellGapReport:
     of their own, so the bound over the full |S_i| is not guaranteed;
     its margin is carried alongside for reporting.
 
-    The first and last passes also give the region's bad sites and
-    windowed sum in the input and the output, for the other checks, and
-    stray_changes counts the sites where the output differs from the
-    input other than the region's bad input sites (repair's locality).
+    The first and last passes also give the box's windowed sum in the
+    input and the output and its bad sites in the output, for the other
+    checks (the input's are the rows' sizes), and stray_changes counts
+    the sites where the output differs from the input other than the
+    box's bad input sites (repair's locality).
     """
 
     rows: tuple[ShellGapRow, ...]
     min_margin: float
     min_literal_margin: float
-    ok: bool
-    input_bad_count: int
-    input_sum: float           # S g(input) over the region
+    input_sum: float           # S g(input) over the box
     output_bad_count: int
-    output_sum: float          # S g(output) over the region
+    output_sum: float          # S g(output) over the box
     stray_changes: int
+
+    @property
+    def ok(self) -> bool:
+        return self.min_margin >= 0
 
 
 def check_shell_gaps(
-    g: PerturbedPotential,
-    corrupted: Window,
-    repaired: Window,
-    shell_sizes: list[int],
-    region: Rect,
+    g: PerturbedPotential, corrupted: Window, repaired: Window, n: int
 ) -> ShellGapReport:
-    """Require each shell's repair to improve the windowed sum by at
-    least (1 - 32*gap)*pending_i - 112*gap, pending_i counting the
-    shell's sites still bad when its turn comes.
+    """Require each shell i = 0..n of the box of radius n to improve the
+    windowed sum over that box by at least (1 - 32*gap)*pending_i -
+    112*gap, pending_i counting the shell's sites still bad when its
+    turn comes.
 
-    repaired is repair's output on corrupted and shell_sizes[i] the
-    number of bad sites of corrupted on shell i (RepairResult.shell_sizes).
-    Repair writes each site of shell i once, while it repairs shell i,
-    so the window before shell i is the output at Chebyshev norms < i
-    and the input elsewhere. At a site of norm k, whose 3x3 patch spans
-    norms k-1..k+1, g thus takes four values: on the input (C), with
-    the patch repaired at norms < k (A) and at norms <= k (B), and on
-    the output (R). Shell k-1 gains A - C there, shell k B - A and
-    shell k+1 R - B, and no other shell moves it. So four passes of the
-    evaluator over the hull of the region and the last shell's box give
-    every term. A shell's observed gain sums its nonzero terms at
-    region sites with builtin sum, site by site in sorted (x, y) order,
-    the order of a site-by-site replay; pending_i counts the sites of
-    the whole shell i that are bad in the input and in state A.
+    repaired is repair's output on corrupted with this n; the windows
+    must contain the box of radius n+1. Repair writes each site of shell
+    i once, while it repairs shell i, so the window before shell i is
+    the output at Chebyshev norms < i and the input elsewhere. At a site
+    of norm k, whose 3x3 patch spans norms k-1..k+1, g thus takes four
+    values: on the input (C), with the patch repaired at norms < k (A)
+    and at norms <= k (B), and on the output (R). Shell k-1 gains A - C
+    there, shell k B - A and shell k+1 R - B, and no other shell moves
+    it. So four passes of the evaluator over the box give every term. A
+    shell's observed gain sums its nonzero terms with builtin sum, site
+    by site in sorted (x, y) order, the order of a site-by-site replay;
+    |S_i| counts the sites of shell i that are bad in the input, and
+    pending_i those that are bad in state A too.
 
-    The four passes run band by band over the hull's rows (_four_states),
+    The four passes run band by band over the box's rows (_four_states),
     so the Chebyshev norms, the mixed states, the pattern codes and the
     terms' masks exist for one band of at most BAND_SITES sites at a
-    time. Only what a band cannot finish spans the region: the terms
-    kept, with their keys (global rows), which one sort puts in replay
-    order; the bad counts and pending_i, summed over bands; and h in C
-    and in R, written into one contiguous array over the region each,
-    which numpy sums in birkhoff_sum's grouping, so the report carries
-    the region's bad-site count and windowed sum (as birkhoff_sum gives
-    it) in C and R. With C's bad sites it counts the changed sites that
-    are not among them, the changed mask too built band by band.
+    time. Only what a band cannot finish spans the box: the terms kept,
+    with their keys (global rows), which one sort puts in replay order;
+    the bad counts, |S_i| and pending_i, summed over bands; and h in C
+    and in R, written into one contiguous array over the box each, which
+    numpy sums in birkhoff_sum's grouping, so the report carries the
+    box's windowed sum (as birkhoff_sum gives it) in C and R. With C's
+    bad sites it counts the changed sites that are not among them, the
+    changed mask too built band by band.
     """
+    if n < 0:
+        raise ValueError("box radius must be >= 0")
     rect = corrupted.rect
     if repaired.rect != rect:
         raise ValueError("mismatched domains")
-    n_shells = len(shell_sizes)
-    hull = region
-    if n_shells:
-        box = Rect.centered(n_shells - 1)
-        x0, y0 = min(region.x0, box.x0), min(region.y0, box.y0)
-        hull = Rect(x0, y0, max(region.x1, box.x1) - x0 + 1, max(region.y1, box.y1) - y0 + 1)
-    if not rect.contains_rect(hull.inflate(1)):
+    region = Rect.centered(n)
+    if not rect.contains_rect(region.inflate(1)):
         raise ValueError("insufficient margin")
-    height = hull.height
-    ends_h = [np.empty((region.height, region.width)) for _ in range(2)]  # C's and R's h
-    ends_bad = [0, 0]  # and their bad-site counts, over the region
-    pending = np.zeros(n_shells, dtype=np.int64)
-    allowed = 0  # changed sites that are bad in C, in the region
+    side = region.width
+    ends_h = [np.empty((side, side)) for _ in range(2)]  # C's and R's h
+    output_bad = 0
+    sizes = np.zeros(n + 1, dtype=np.int64)
+    pending = np.zeros(n + 1, dtype=np.int64)
+    allowed = 0  # changed sites that are bad in C
     keys, terms = [], []
-    for band, norm, states in _four_states(g, corrupted, repaired, hull):
-        inside = np.zeros(norm.shape, dtype=bool)
-        lo, hi = max(band.y0, region.y0), min(band.y1, region.y1)
-        part = None
-        if lo <= hi:  # the band holds rows of the region
-            part = Rect(region.x0, lo, region.width, hi - lo + 1)
-            cut = _cut(band, part)
-            inside[cut] = True
-        top = hull.y1 - band.y1  # the band's first row in the hull
+    for band, norm, states in _four_states(g, corrupted, repaired, region):
+        cut = _cut(region, band)
+        top = region.y1 - band.y1  # the band's first row in the box
         previous = None
         for shift, (bad, h) in enumerate(states, -2):
             value = h - bad
-            if shift in (-2, 1) and part is not None:  # C or R, on the region's rows
-                ends_bad[shift == 1] += int(np.count_nonzero(bad[cut]))
-                ends_h[shift == 1][_cut(region, part)] = h[cut]
-            if shift == -2:  # the input's bad sites; the hull's are all evaluable
+            if shift == -2:  # the input's bad sites, by shell
                 bad_in = bad
+                sizes += np.bincount(norm[bad], minlength=n + 1)
+                ends_h[0][cut] = h
             elif shift == -1:  # at a site of norm k, A is the window before shell k's repair
-                still_bad = bad_in & bad & (norm < n_shells)
-                pending += np.bincount(norm[still_bad], minlength=n_shells)
+                pending += np.bincount(norm[bad_in & bad], minlength=n + 1)
+            elif shift == 1:
+                output_bad += int(np.count_nonzero(bad))
+                ends_h[1][cut] = h
             if previous is not None:  # shell k + shift gains value - previous at norm k
                 term = value - previous
-                keep = inside & (term != 0) & (norm >= -shift) & (norm < n_shells - shift)
+                keep = (term != 0) & (norm >= -shift) & (norm <= n - shift)
                 # key (shell, x, y): x-major, then y ascending, within a shell
-                row, col = np.divmod(np.flatnonzero(keep), hull.width)
-                keys.append((norm[keep] + shift) * hull.area + col * height + (height - 1 - top - row))
+                row, col = np.divmod(np.flatnonzero(keep), side)
+                keys.append((norm[keep] + shift) * region.area + col * side + (side - 1 - top - row))
                 terms.append(term[keep])
             previous = value
-        if part is not None:
-            window_cut = _cut(rect, part)
-            changed = corrupted.array[window_cut] != repaired.array[window_cut]
-            allowed += int(np.count_nonzero(changed & bad_in[cut]))
+        window_cut = _cut(rect, band)
+        changed = corrupted.array[window_cut] != repaired.array[window_cut]
+        allowed += int(np.count_nonzero(changed & bad_in))
     key = np.concatenate(keys)
     order = np.argsort(key)
     sorted_terms = np.concatenate(terms)[order].tolist()
-    bounds = np.searchsorted(key[order], np.arange(n_shells + 1) * hull.area).tolist()
-    pending = pending.tolist()
+    bounds = np.searchsorted(key[order], np.arange(n + 2) * region.area).tolist()
 
     gap = g.gap
     site_coeff = 1.0 - SHELL_SITE_COEFF * gap
     slack = SHELL_SLACK_COEFF * gap
-    rows = []
-    min_margin = math.inf
-    min_literal = math.inf
-    ok = True
-    for i, size in enumerate(shell_sizes):
-        row = ShellGapRow(
+    rows = tuple(
+        ShellGapRow(
             i=i,
             size=size,
-            pending=pending[i],
+            pending=still,
             observed=sum(sorted_terms[bounds[i] : bounds[i + 1]], 0.0),
-            required=site_coeff * pending[i] - slack,
+            required=site_coeff * still - slack,
             required_literal=site_coeff * size - slack,
         )
-        min_margin = min(min_margin, row.margin)
-        min_literal = min(min_literal, row.literal_margin)
-        if row.margin < 0:
-            ok = False
-        rows.append(row)
-    if not rows:
-        min_margin = 0.0
-        min_literal = 0.0
+        for i, (size, still) in enumerate(zip(sizes.tolist(), pending.tolist()))
+    )
     return ShellGapReport(
-        tuple(rows),
-        min_margin,
-        min_literal,
-        ok,
-        input_bad_count=ends_bad[0],
-        input_sum=g.sum_parts(ends_bad[0], ends_h[0]),
-        output_bad_count=ends_bad[1],
-        output_sum=g.sum_parts(ends_bad[1], ends_h[1]),
-        stray_changes=_count_changed(corrupted.array, repaired.array) - allowed,
+        rows,
+        min(row.margin for row in rows),
+        min(row.literal_margin for row in rows),
+        input_sum=g.sum_parts(int(sizes.sum()), ends_h[0]),
+        output_bad_count=output_bad,
+        output_sum=g.sum_parts(output_bad, ends_h[1]),
+        stray_changes=_count_changed(corrupted, repaired) - allowed,
     )
 
 
 def _four_states(
-    g: PerturbedPotential, corrupted: Window, repaired: Window, hull: Rect
+    g: PerturbedPotential, corrupted: Window, repaired: Window, region: Rect
 ) -> Iterator[tuple[Rect, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]]:
     """check_shell_gaps' four window states, band by band: for each row
-    band of the hull (see _bands), top band first, the band, the
+    band of the region (see _bands), top band first, the band, the
     Chebyshev norm of each of its sites, and an iterator over
-    patch_parts' (bad, h) there in C, A, B and R, in that order. The norms, the symbols and the
-    mixed states are built for the band alone; the hull inflated by one
-    must fit in the windows' domain."""
+    patch_parts' (bad, h) there in C, A, B and R, in that order. The
+    norms, the symbols and the mixed states are built for the band
+    alone; the region inflated by one must fit in the windows' domain."""
     rect = corrupted.rect
     # symbols fit a byte (q <= 64 under SSF), which keeps the mixed states small
     small = np.min_scalar_type(g.sft.q - 1)
-    for band in _bands(hull):
+    for band in _bands(region):
         around = band.inflate(1)
         ys = around.y1 - np.arange(around.height)
         xs = around.x0 + np.arange(around.width)
@@ -546,11 +526,11 @@ def _band_states(
     yield g.patch_parts(after)
 
 
-def _count_changed(a: np.ndarray, b: np.ndarray) -> int:
-    """The number of entries where the two arrays of one shape differ,
-    counted in row bands of at most BAND_SITES entries."""
-    rows = max(1, BAND_SITES // a.shape[1])
-    return sum(int(np.count_nonzero(a[k : k + rows] != b[k : k + rows])) for k in range(0, len(a), rows))
+def _count_changed(a: Window, b: Window) -> int:
+    """The number of sites where two windows of one domain differ,
+    counted in row bands (see _bands)."""
+    cuts = (_cut(a.rect, band) for band in _bands(a.rect))
+    return sum(int(np.count_nonzero(a.array[cut] != b.array[cut])) for cut in cuts)
 
 
 @dataclass(frozen=True)
@@ -570,11 +550,10 @@ class TotalBoundReport:
         return self.raw_ok and self.normalized_ok
 
 
-def _total_report(
-    gap: float, bad_total: int, before: float, after: float, area: int, n: int
-) -> TotalBoundReport:
+def _total_report(gap: float, bad_total: int, before: float, after: float, n: int) -> TotalBoundReport:
     """The total bound for a repair of bad_total sites that took the
-    region's windowed sum from before to after."""
+    windowed sum over the box of radius n from before to after."""
+    area = (2 * n + 1) ** 2
     total_gap = before - after
     overhead = SHELL_SLACK_COEFF * gap * (n + 1) + tail_slack(n)
     total_bound = overhead + (-1.0 + SHELL_SITE_COEFF * gap) * bad_total
@@ -687,17 +666,12 @@ def run_trial(cfg: TrialConfig, index: int, chunk: TrialChunk | None = None) -> 
     admissible_check = check_average_bounds(g, base, region)
     del base
     result = repair(corrupted, sft, cfg.n, rule=cfg.rule, rng=rng)
-    shell_check = check_shell_gaps(g, corrupted, result.window, result.shell_sizes, region)
-    bad_total = result.total_bad
-    if bad_total != shell_check.input_bad_count:
+    shell_check = check_shell_gaps(g, corrupted, result.window, cfg.n)
+    if result.shell_sizes != [row.size for row in shell_check.rows]:
         raise RuntimeError("shell decomposition lost bad sites")
-    area = region.area
-    corrupted_check = _average_report(
-        g.gap, shell_check.input_bad_count, shell_check.input_sum, area
-    )
-    total_check = _total_report(
-        g.gap, bad_total, shell_check.input_sum, shell_check.output_sum, area, cfg.n
-    )
+    bad_total = result.total_bad
+    corrupted_check = _average_report(g.gap, bad_total, shell_check.input_sum, region.area)
+    total_check = _total_report(g.gap, bad_total, shell_check.input_sum, shell_check.output_sum, cfg.n)
 
     repaired_clean = shell_check.output_bad_count == 0
     # the bad sites of shells 0..n are the only sites repair may change

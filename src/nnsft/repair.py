@@ -256,7 +256,5 @@ def changed_sites(before: Window, after: Window) -> set[Site]:
     """Sites where two same-domain windows differ."""
     if before.rect != after.rect:
         raise ValueError("mismatched domains")
-    out: set[Site] = set()
-    for r, c in np.argwhere(before.array != after.array):
-        out.add((before.rect.x0 + int(c), before.rect.y1 - int(r)))
-    return out
+    rows, cols = np.nonzero(before.array != after.array)
+    return set(zip((cols + before.rect.x0).tolist(), (before.rect.y1 - rows).tolist()))

@@ -175,9 +175,7 @@ def bad_sites(w: Window, sft: NnSft) -> BadSites:
     penalty potential's support)."""
     mask, evaluable = bad_site_mask(w, sft)
     rows, cols = np.nonzero(mask)
-    sites = frozenset(
-        (int(c) + w.rect.x0, w.rect.y1 - int(r)) for r, c in zip(rows, cols)
-    )
+    sites = frozenset(zip((cols + w.rect.x0).tolist(), (w.rect.y1 - rows).tolist()))
     return BadSites(sites, evaluable)
 
 

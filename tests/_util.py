@@ -310,13 +310,12 @@ def reference_run_trial(cfg, index: int):
         certified_gap=g.gap,
         admissible_check=check_average_bounds(g, base, region),
         corrupted_check=check_average_bounds(g, corrupted, region),
-        shell_check=check_shell_gaps(g, corrupted, result.window, result.shell_sizes, region),
+        shell_check=check_shell_gaps(g, corrupted, result.window, cfg.n),
         total_check=_total_report(
             g.gap,
             bad_total,
             birkhoff_sum(g, corrupted, region),
             birkhoff_sum(g, result.window, region),
-            region.area,
             cfg.n,
         ),
         repaired_clean=not bad_site_mask(result.window, sft)[0][cut].any(),

@@ -190,7 +190,7 @@ def test_shell_gaps_zero_perturbation_integer_identity():
     region = Rect.centered(10)
     w = corrupt(sample_admissible(HS, 12, rng), 2, 0.4, rng)
     res = repair(w, HS, 10)
-    rep = check_shell_gaps(g, w, res.window, res.shell_sizes, region)
+    rep = check_shell_gaps(g, w, res.window, 10)
     assert rep.ok
     windows = shell_windows(w, HS, 10)
     for row, prev, cur in zip(rep.rows, windows, windows[1:]):
@@ -204,8 +204,9 @@ def test_shell_gaps_empty_shells():
     g = PerturbedPotential.build(HS, sample_perturbation(1 / 384, 8, 2, seed=1))
     w = Window.filled(Rect.centered(6), 0)
     res = repair(w, HS, 4)
-    rep = check_shell_gaps(g, w, res.window, res.shell_sizes, Rect.centered(4))
+    rep = check_shell_gaps(g, w, res.window, 4)
     assert rep.ok
+    assert [row.size for row in rep.rows] == [0] * 5
     for row in rep.rows:
         assert row.observed == 0.0
         assert row.required == pytest.approx(-112.0 * g.gap)
@@ -218,21 +219,39 @@ def test_shell_gaps_mismatched_domains():
     res = repair(w, HS, 4)
     with pytest.raises(ValueError, match="domains"):
         moved = Window(Rect(-5, -6, 13, 13), res.window.array)
-        check_shell_gaps(g, w, moved, res.shell_sizes, Rect.centered(4))
+        check_shell_gaps(g, w, moved, 4)
+    # the window must hold the box of radius n + 1: 5 fits in 6, 6 does not
+    assert len(check_shell_gaps(g, w, w, 5).rows) == 6
     with pytest.raises(ValueError, match="insufficient margin"):
-        check_shell_gaps(g, w, res.window, res.shell_sizes, Rect.centered(6))
+        check_shell_gaps(g, w, res.window, 6)
+    with pytest.raises(ValueError, match="radius"):
+        check_shell_gaps(g, w, res.window, -1)
+
+
+def test_shell_gaps_at_n_zero():
+    # one shell, the origin: bad in the input, still bad before its
+    # repair, and its repair gains exactly one bad site's worth (h = 0)
+    g = _zero_g()
+    w = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1, (1, 0): 1})
+    res = repair(w, HS, 0)
+    rep = check_shell_gaps(g, w, res.window, 0)
+    assert res.shell_sizes == [1]
+    [row] = rep.rows
+    assert (row.i, row.size, row.pending, row.observed) == (0, 1, 1, 1.0)
+    assert rep.ok and rep.min_margin == row.margin
+    assert rep.output_bad_count == 0 and rep.stray_changes == 0
+    assert (rep.input_sum, rep.output_sum) == (-1.0, 0.0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 9),
-    margin=st.integers(0, 2),
     rate=st.floats(0.0, 1.0),
     support=st.integers(0, 60),
     rule=st.sampled_from(["smallest", "random"]),
 )
-def test_shell_gaps_replay_matches_reference(seed, n, margin, rate, support, rule):
+def test_shell_gaps_replay_matches_reference(seed, n, rate, support, rule):
     # the replay from repair's input and output against the window after
     # each shell, taken from repair on shells 0..i from the same rng state
     rng = np.random.default_rng(seed)
@@ -241,9 +260,8 @@ def test_shell_gaps_replay_matches_reference(seed, n, margin, rate, support, rul
     g = PerturbedPotential.build(sft, sample_perturbation(0.01, support, sft.q, rng))
     windows = shell_windows(w, sft, n, rule, rng)
     res = repair(w, sft, n, rule=rule, rng=rng)
-    region = Rect.centered(n + 1 - margin)
-    rep = check_shell_gaps(g, w, res.window, res.shell_sizes, region)
-    expected = reference_shell_rows(g, res.shells, windows, region)
+    rep = check_shell_gaps(g, w, res.window, n)
+    expected = reference_shell_rows(g, res.shells, windows, Rect.centered(n))
     assert [(row.size, row.pending, row.observed) for row in rep.rows] == expected
 
 
@@ -255,10 +273,10 @@ def test_shell_gaps_replay_matches_reference(seed, n, margin, rate, support, rul
     support=st.integers(0, 60),
 )
 def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, support):
-    # any output against any input, on any SFT and any region that fits:
-    # the window after shell i is where(norm <= i, output, input), and
-    # nothing is assumed of repair (edits land anywhere, off the box of
-    # radius n too, and need not remove a bad site)
+    # any output against any input, on any SFT: the window after shell i
+    # is where(norm <= i, output, input), and nothing is assumed of
+    # repair (edits land anywhere, off the box of radius n too, and need
+    # not remove a bad site)
     rng = np.random.default_rng(seed)
     sft = random_sft(rng)
     q = sft.q
@@ -266,47 +284,25 @@ def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, suppo
     w = random_window(rect, q, rng)
     edit = rng.random(w.array.shape) < edit_rate
     out = Window(rect, np.where(edit, rng.integers(0, q, w.array.shape), w.array))
-    x0, x1 = sorted(rng.integers(-n - 1, n + 2, size=2).tolist())
-    y0, y1 = sorted(rng.integers(-n - 1, n + 2, size=2).tolist())
-    region = Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+    region = Rect.centered(n)
     g = PerturbedPotential.build(sft, sample_perturbation(0.01, min(support, q**9), q, rng))
     shells = [reference_decompose(w, sft, i) for i in range(n + 1)]
-    rep = check_shell_gaps(g, w, out, [len(dec.sites()) for dec in shells], region)
+    rep = check_shell_gaps(g, w, out, n)
     ys = rect.y1 - np.arange(rect.height)
     xs = rect.x0 + np.arange(rect.width)
     norm = np.maximum.outer(np.abs(ys), np.abs(xs))
     windows = [w] + [Window(rect, np.where(norm <= i, out.array, w.array)) for i in range(n + 1)]
     expected = reference_shell_rows(g, shells, windows, region)
     assert [(row.size, row.pending, row.observed) for row in rep.rows] == expected
-    # the region's bad sites and windowed sums of input and output, read
-    # from a hull that may be larger than the region, are birkhoff_sum's
-    cut = (slice(rect.y1 - region.y1, rect.y1 - region.y0 + 1),
-           slice(region.x0 - rect.x0, region.x1 - rect.x0 + 1))
-    for window, count, total in ((w, rep.input_bad_count, rep.input_sum),
-                                 (out, rep.output_bad_count, rep.output_sum)):
-        mask = bad_site_mask(window, sft)[0][cut]
-        assert count == int(mask.sum())
+    # the output's bad sites in the region, and the windowed sums of
+    # input and output, are bad_site_mask's and birkhoff_sum's
+    cut = (slice(2, 2 * n + 3),) * 2  # the region in the window's array
+    assert rep.output_bad_count == int(bad_site_mask(out, sft)[0][cut].sum())
+    for window, total in ((w, rep.input_sum), (out, rep.output_sum)):
         assert repr(total) == repr(birkhoff_sum(g, window, region))
     allowed = np.zeros(w.array.shape, dtype=bool)
     allowed[cut] = bad_site_mask(w, sft)[0][cut]
     assert rep.stray_changes == int(((w.array != out.array) & ~allowed).sum())
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_shell_gap_sums_are_birkhoff_sums_on_a_wider_hull(seed):
-    # a region narrower than the hull is a strided slice of each pass;
-    # numpy would sum it in another grouping than birkhoff_sum's
-    # contiguous array, so the report's sums must come from a copy
-    # (every pattern stored: every site's term is nonzero)
-    q, n = 2, 50
-    rng = np.random.default_rng(seed)
-    rect = Rect.centered(n + 2)
-    w, out = (random_window(rect, q, rng) for _ in range(2))
-    g = PerturbedPotential.build(full_shift(q), sample_perturbation(1 / 384, q**9, q, rng))
-    region = Rect(-n + 2, -n, 2 * n - 3, 2 * n + 1)
-    rep = check_shell_gaps(g, w, out, [0] * (n + 1), region)
-    assert repr(rep.input_sum) == repr(birkhoff_sum(g, w, region))
-    assert repr(rep.output_sum) == repr(birkhoff_sum(g, out, region))
 
 
 BAND_SPECS = [HS, checkerboard(5), checkerboard(6), *random_ssf_sfts(2, seed=4242)]
@@ -318,8 +314,8 @@ BAND_CASES = [
 
 @pytest.mark.parametrize("k, rule, rate", BAND_CASES)
 def test_row_bands_give_identical_reports(monkeypatch, k, rule, rate):
-    # one row per band, three rows, and one band over the whole hull
-    # (which is the region here): every report and the CSV to the bit
+    # one row per band, three rows, and one band over the whole region:
+    # every report and the CSV to the bit
     sft = BAND_SPECS[k]
     n = (2, 3, 9, 17, 40)[BAND_CASES.index((k, rule, rate)) % 5]
     cfg = TrialConfig(sft=sft, n=n, rule=rule, corrupt_rate=rate, trials=2, seed=31 + k,
@@ -336,34 +332,10 @@ def test_row_bands_give_identical_reports(monkeypatch, k, rule, rate):
                 assert repr(getattr(a, name)) == repr(getattr(b, name)), name
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_row_bands_on_a_hull_wider_than_the_region(monkeypatch, seed):
-    # bands that miss the region, or hold only some of its rows, when the
-    # last shell's box reaches past the region; every pattern stored
-    rng = np.random.default_rng(seed)
-    sft = random_sft(rng, q_hi=3)
-    n = int(rng.integers(2, 12))
-    rect = Rect.centered(n + 2)
-    w, out = (random_window(rect, sft.q, rng) for _ in range(2))
-    x0, x1 = sorted(rng.integers(-n - 1, n + 2, size=2).tolist())
-    y0, y1 = sorted(rng.integers(-n - 1, n + 2, size=2).tolist())
-    region = Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-    g = PerturbedPotential.build(sft, sample_perturbation(0.01, sft.q**9, sft.q, rng))
-    sizes = rng.integers(0, 5, size=n + 1).tolist()
-    hull_width = max(x1, n) - min(x0, -n) + 1
-    reports = []
-    for shell_band, average_band in ((1, 1), (3 * hull_width, 3 * region.width), (2**62, 2**62)):
-        monkeypatch.setattr(harness, "BAND_SITES", shell_band)
-        shells = check_shell_gaps(g, w, out, sizes, region)
-        monkeypatch.setattr(harness, "BAND_SITES", average_band)
-        reports.append(repr((shells, check_average_bounds(g, w, region))))
-    assert reports[1] == reports[0] and reports[2] == reports[0]
-
-
 def test_shell_gaps_working_set_is_bounded_by_bands():
     # tracemalloc counts numpy's buffers: above its inputs, the pass may
     # hold a band's temporaries and, over the region, C's and R's h (16
-    # bytes per site) and the kept terms; the whole-hull passes held
+    # bytes per site) and the kept terms; unbanded passes held
     # about 75 bytes per site here
     rng = np.random.default_rng(0)
     sft = checkerboard(5)
@@ -374,7 +346,7 @@ def test_shell_gaps_working_set_is_bounded_by_bands():
     region = Rect.centered(n)
     tracemalloc.start()
     try:
-        check_shell_gaps(g, w, res.window, res.shell_sizes, region)
+        check_shell_gaps(g, w, res.window, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -387,7 +359,7 @@ def test_total_gap_admissible():
     res = repair(w, HS, 4)
     region = Rect.centered(4)
     before, after = birkhoff_sum(g, w, region), birkhoff_sum(g, res.window, region)
-    rep = _total_report(g.gap, res.total_bad, before, after, region.area, 4)
+    rep = _total_report(g.gap, res.total_bad, before, after, 4)
     assert rep.total_gap == 0.0
     assert rep.raw_ok and rep.normalized_ok and rep.vacuous  # required < 0 at tiny N
 
@@ -496,6 +468,24 @@ def test_run_trial_locality_failures(monkeypatch):
         r = run_trial(cfg, 0)
         assert not r.locality_ok, pick.__name__
         assert not r.all_pass, pick.__name__
+
+
+def test_run_trial_refuses_shell_sizes_moved_between_shells(monkeypatch):
+    # repair's shell sizes must match the counted ones shell by shell:
+    # one count moved to the next shell keeps the total
+    cfg = TrialConfig(sft=HS, n=6, seed=4, corrupt_rate=0.3)
+
+    def moved(w, sft, n, **kwargs):
+        res = repair(w, sft, n, **kwargs)
+        sizes = list(res.shell_sizes)
+        i = next(k for k, size in enumerate(sizes) if size)
+        sizes[i] -= 1
+        sizes[(i + 1) % len(sizes)] += 1
+        return RepairResult(res.window, sizes, res.sweep)
+
+    monkeypatch.setattr(harness, "repair", moved)
+    with pytest.raises(RuntimeError, match="lost bad sites"):
+        run_trial(cfg, 0)
 
 
 def test_trial_and_cli_repair_build_no_decomposition(monkeypatch, tmp_path, capsys):
