@@ -36,7 +36,7 @@ and builds from them the corrupted window's average bound, through the
 same helper as check_average_bounds, the total bound, and its locality
 and cleanliness checks, so it builds no bad-site mask of its own.
 
-Both checks evaluate g over row bands of at most BAND_SITES sites, so
+Both checks evaluate g over row bands, Rect.bands(BAND_SITES), so
 their working set is a band's temporaries plus what must span the
 region: one float array of h per window state whose windowed sum is
 reported, because numpy groups a sum by the array's layout and only a
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Rect, Window
+from .lattice import BAND_SITES, Rect, Window
 from .potentials import (
     PATCH_CENTER,
     PerturbedPotential,
@@ -88,10 +88,6 @@ WINDOW_SITE_GUARD = 2**22  # largest sampled window or stack, in sites (radius 1
 # this many sites (at least one window), each chunk in one sweep: 11
 # windows at N = 24, one from N = 62 on
 CHUNK_SITES = 2**15
-# check_shell_gaps and check_average_bounds evaluate g over row bands of
-# at most this many sites (at least one row): 63 rows at N = 128, one
-# band up to N = 63
-BAND_SITES = 2**14
 
 
 def tail_slack(n: int) -> float:
@@ -264,24 +260,6 @@ def corrupt(w: Window, q: int, rate: float, rng: np.random.Generator) -> Window:
     return Window(w.rect, np.where(hit, draws, w.array), _copy=False)
 
 
-def _cut(rect: Rect, region: Rect) -> tuple[slice, slice]:
-    """The rows and columns of an array over rect (row 0 the top row, as
-    in a Window) that hold the region."""
-    return (
-        slice(rect.y1 - region.y1, rect.y1 - region.y0 + 1),
-        slice(region.x0 - rect.x0, region.x1 - rect.x0 + 1),
-    )
-
-
-def _bands(rect: Rect) -> Iterator[Rect]:
-    """rect in row bands of at most BAND_SITES sites (at least one row
-    each), top band first."""
-    rows = max(1, BAND_SITES // rect.width)
-    for top in range(rect.y1, rect.y0 - 1, -rows):
-        height = min(rows, top - rect.y0 + 1)
-        yield Rect(rect.x0, top - height + 1, rect.width, height)
-
-
 @dataclass(frozen=True)
 class AverageBoundReport:
     """Normalized windowed sum of g against the density-split bounds.
@@ -303,7 +281,7 @@ class AverageBoundReport:
 
 def check_average_bounds(g: PerturbedPotential, w: Window, region: Rect) -> AverageBoundReport:
     """The density-split bounds on w's normalized windowed sum over the
-    region; one pass of the evaluator, in row bands (see _bands), gives
+    region; one pass of the evaluator, in row bands, gives
     both the region's bad count and the sum. The band's h go into one
     contiguous array over the region, which numpy sums in birkhoff_sum's
     grouping."""
@@ -312,10 +290,10 @@ def check_average_bounds(g: PerturbedPotential, w: Window, region: Rect) -> Aver
     _check_symbols(w, g.sft)
     bad = 0
     h = np.empty((region.height, region.width))
-    for band in _bands(region):
+    for band in region.bands(BAND_SITES):
         band_bad, band_h = g.patch_parts(region_patches(w.array, w.rect, band))
         bad += int(np.count_nonzero(band_bad))
-        h[_cut(region, band)] = band_h
+        h[region.cut(band)] = band_h
     return _average_report(g.gap, bad, g.sum_parts(bad, h), region.area)
 
 
@@ -435,8 +413,8 @@ def check_shell_gaps(
     allowed = 0  # changed sites that are bad in C
     keys, terms = [], []
     for band, norm, states in _four_states(g, corrupted, repaired, region):
-        cut = _cut(region, band)
-        top = region.y1 - band.y1  # the band's first row in the box
+        cut = region.cut(band)
+        top = cut[0].start  # the band's first row in the box
         previous = None
         for shift, (bad, h) in enumerate(states, -2):
             value = h - bad
@@ -457,7 +435,7 @@ def check_shell_gaps(
                 keys.append((norm[keep] + shift) * region.area + col * side + (side - 1 - top - row))
                 terms.append(term[keep])
             previous = value
-        window_cut = _cut(rect, band)
+        window_cut = rect.cut(band)
         changed = corrupted.array[window_cut] != repaired.array[window_cut]
         allowed += int(np.count_nonzero(changed & bad_in))
     key = np.concatenate(keys)
@@ -494,7 +472,7 @@ def _four_states(
     g: PerturbedPotential, corrupted: Window, repaired: Window, region: Rect
 ) -> Iterator[tuple[Rect, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]]:
     """check_shell_gaps' four window states, band by band: for each row
-    band of the region (see _bands), top band first, the band, the
+    band of the region, top band first, the band, the
     Chebyshev norm of each of its sites, and an iterator over
     patch_parts' (bad, h) there in C, A, B and R, in that order. The
     norms, the symbols and the mixed states are built for the band
@@ -502,12 +480,10 @@ def _four_states(
     rect = corrupted.rect
     # symbols fit a byte (q <= 64 under SSF), which keeps the mixed states small
     small = np.min_scalar_type(g.sft.q - 1)
-    for band in _bands(region):
+    for band in region.bands(BAND_SITES):
         around = band.inflate(1)
-        ys = around.y1 - np.arange(around.height)
-        xs = around.x0 + np.arange(around.width)
-        dist = region_patches(np.maximum.outer(np.abs(ys), np.abs(xs)), around, band)
-        cut = _cut(rect, around)
+        dist = region_patches(around.norms(), around, band)
+        cut = rect.cut(around)
         before = region_patches(corrupted.array[cut].astype(small), around, band)
         after = region_patches(repaired.array[cut].astype(small), around, band)
         yield band, dist[PATCH_CENTER], _band_states(g, dist, before, after)
@@ -528,8 +504,8 @@ def _band_states(
 
 def _count_changed(a: Window, b: Window) -> int:
     """The number of sites where two windows of one domain differ,
-    counted in row bands (see _bands)."""
-    cuts = (_cut(a.rect, band) for band in _bands(a.rect))
+    counted in row bands."""
+    cuts = (a.rect.cut(band) for band in a.rect.bands(BAND_SITES))
     return sum(int(np.count_nonzero(a.array[cut] != b.array[cut])) for cut in cuts)
 
 

@@ -161,8 +161,7 @@ class PerturbedPotential:
         hold a stored pattern; those alone are searched for among the
         sorted codes, and every other site gets h = 0.
         """
-        center = patch[PATCH_CENTER]
-        bad = self.sft.h_table[center, patch[_RIGHT]] | self.sft.v_table[center, patch[_UP]]
+        bad = self.sft.bad(patch[PATCH_CENTER], patch[_RIGHT], patch[_UP])
         codes, vals = self._code_lookup
         h = np.zeros(bad.size)
         if codes.size:
@@ -193,8 +192,7 @@ class PerturbedPotential:
         Every site's 3x3 patch must be stored.
         """
         rect, flat = w.rect, w.array.ravel()
-        r = rect.y1 - np.asarray(ys)
-        c = np.asarray(xs) - rect.x0
+        r, c = rect.cells(np.asarray(xs), np.asarray(ys))
         if r.size and c.size and (
             r.min() < 1 or c.min() < 1 or r.max() > rect.height - 2 or c.max() > rect.width - 2
         ):
@@ -265,9 +263,11 @@ def region_patches(a: np.ndarray, rect: Rect, region: Rect) -> list[np.ndarray]:
     """
     if not rect.contains_rect(region.inflate(1)):
         raise ValueError("insufficient margin")
-    r0, c0 = rect.y1 - region.y1, region.x0 - rect.x0
-    h, w = region.height, region.width
-    return [a[r0 - dy : r0 - dy + h, c0 + dx : c0 + dx + w] for dx, dy in PATCH_OFFSETS]
+    rows, cols = rect.cut(region)
+    return [
+        a[rows.start - dy : rows.stop - dy, cols.start + dx : cols.stop + dx]
+        for dx, dy in PATCH_OFFSETS
+    ]
 
 
 def birkhoff_sum(g: PerturbedPotential, w: Window, region: Rect) -> float:

@@ -105,17 +105,17 @@ def _sweep_order(rect: Rect, mask: np.ndarray, n: int) -> tuple[np.ndarray, ...]
     """The bad sites of the box of radius n in sweep order: their flat
     indices into the window's array, shells, sides (indices into SIDES)
     and coordinates along the side."""
-    # the box's top left site is array row top, column left
-    top, left, box = rect.y1 - n, -n - rect.x0, 2 * n + 1
-    at = np.flatnonzero(mask[top : top + box, left : left + box])
-    row, col = np.divmod(at, box)
-    x, y = col - n, n - row
+    box = Rect.centered(n)
+    rows, cols = rect.cut(box)
+    row, col = np.divmod(np.flatnonzero(mask[rows, cols]), box.width)
+    x, y = box.sites(row, col)
     shell = np.maximum(np.abs(x), np.abs(y))
     # corners and the origin go to top or bottom
     side = np.where(y == shell, 0, np.where(y == -shell, 1, np.where(x == shell, 2, 3)))
     along = np.where(side < 2, x, y)
-    order = np.argsort((shell * 4 + side) * box + along + n)
-    return ((row + top) * rect.width + col + left)[order], shell[order], side[order], along[order]
+    order = np.argsort((shell * 4 + side) * box.width + along + n)
+    at = (row + rows.start) * rect.width + col + cols.start
+    return at[order], shell[order], side[order], along[order]
 
 
 def _decompose(
@@ -161,9 +161,8 @@ def _sweep(
     for k in sites:
         m = west[buf[k - 1]] & east[buf[k + 1]] & south[buf[k + width]] & north[buf[k - width]]
         if not m:
-            r, c = divmod(k, width)
             raise RuntimeError(
-                f"SSF contract violated: no symbol fits at {(rect.x0 + c, rect.y1 - r)} "
+                f"SSF contract violated: no symbol fits at {rect.sites(*divmod(k, width))} "
                 f"against neighbors (left={buf[k - 1]}, right={buf[k + 1]}, "
                 f"down={buf[k + width]}, up={buf[k - width]})"
             )
@@ -191,7 +190,7 @@ def fill_segment(
     _check_rule(rule, rng)
     _check_symbols(w, sft)
     rect = w.rect
-    flat = [(rect.y1 - y) * rect.width + x - rect.x0 for x, y in sites]
+    flat = [r * rect.width + c for r, c in (rect.cells(*u) for u in sites)]
     buf = bytearray(w.array.astype(np.uint8, order="C"))
     _sweep(buf, rect, sft.fill_table.tolist(), flat, rule, rng)
     return {s: buf[k] for s, k in zip(sites, flat)}
@@ -241,7 +240,7 @@ def repair(
     if not rect.contains_rect(Rect.centered(n + 1)):
         raise ValueError("insufficient margin")
     _check_rule(rule, rng)
-    mask, _ = bad_site_mask(w, sft)
+    mask = bad_site_mask(w, sft)
     sites, *sweep = _sweep_order(rect, mask, n)
     sizes = np.bincount(sweep[0], minlength=n + 1).tolist()
     # symbols fit a byte: bad_site_mask checked they are below q <= 64
@@ -256,5 +255,5 @@ def changed_sites(before: Window, after: Window) -> set[Site]:
     """Sites where two same-domain windows differ."""
     if before.rect != after.rect:
         raise ValueError("mismatched domains")
-    rows, cols = np.nonzero(before.array != after.array)
-    return set(zip((cols + before.rect.x0).tolist(), (before.rect.y1 - rows).tolist()))
+    xs, ys = before.rect.sites(*np.nonzero(before.array != after.array))
+    return set(zip(xs.tolist(), ys.tolist()))

@@ -6,10 +6,10 @@ vforbid bans a immediately below b. A window is locally admissible when
 none of its stored adjacent pairs is forbidden.
 
 A site u of a window is *bad* when the pair (u, u+e1) or (u, u+e2) is
-forbidden; badness is attributed to the lower/left endpoint, so the
-penalty potential in the potentials module is exactly -1 on bad sites.
-Near window edges only sites whose right and up neighbors are stored
-are evaluated, and the evaluable sub-rectangle is reported alongside.
+forbidden (NnSft.bad); badness is attributed to the lower/left
+endpoint, so the penalty potential in the potentials module is exactly
+-1 on bad sites. A site of a window's top row or right column has a
+neighbor outside it, so it is never marked bad.
 
 Single-site fillability (SSF): for every assignment of four symbols to
 a site's neighbors, some center symbol is compatible with all four
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # `check` runs nothing of lattice, so it is not loaded for it
-    from .lattice import Rect, Site, Window
+    from .lattice import Site, Window
 
 Pair = tuple[int, int]
 
@@ -77,6 +77,10 @@ class NnSft:
             t[a, b] = True
         t.flags.writeable = False
         return t
+
+    def bad(self, center: np.ndarray, right: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """Whether the pair (center, right) or (center, up) is forbidden."""
+        return self.h_table[center, right] | self.v_table[center, up]
 
     @cached_property
     def fill_table(self) -> np.ndarray:
@@ -130,7 +134,6 @@ class SsfResult:
 @dataclass(frozen=True)
 class BadSites:
     sites: frozenset[Site]
-    evaluable: Rect | None  # None when the window is too thin to evaluate anywhere
 
 
 class SymbolRangeError(ValueError):
@@ -145,38 +148,25 @@ def _check_symbols(w: Window, sft: NnSft) -> None:
     if arr.size and (int(arr.max()) >= sft.q or int(arr.min()) < 0):
         bad = (arr >= sft.q) | (arr < 0)
         r, c = map(int, np.argwhere(bad)[0])
-        site = (w.rect.x0 + c, w.rect.y1 - r)
-        raise SymbolRangeError(site, int(arr[r, c]), sft.q)
+        raise SymbolRangeError(w.rect.sites(r, c), int(arr[r, c]), sft.q)
 
 
-def bad_site_mask(w: Window, sft: NnSft) -> tuple[np.ndarray, Rect | None]:
-    """Boolean array over the window marking bad sites, plus the evaluable rect.
-
-    A site is evaluable when its right and up neighbors are stored; the
-    mask is False outside the evaluable sub-rectangle.
-    """
+def bad_site_mask(w: Window, sft: NnSft) -> np.ndarray:
+    """Boolean array over the window marking bad sites; False on the top
+    row and the right column, whose right or up neighbor is not stored."""
     _check_symbols(w, sft)
     arr = w.array
-    h, wd = arr.shape
-    mask = np.zeros((h, wd), dtype=bool)
-    if h < 2 or wd < 2:
-        return mask, None
-    # evaluable sites occupy rows 1.. and columns ..-2 of the array
-    right = sft.h_table[arr[1:, :-1], arr[1:, 1:]]
-    up = sft.v_table[arr[1:, :-1], arr[:-1, :-1]]
-    mask[1:, :-1] = right | up
-    from .lattice import Rect
-
-    return mask, Rect(w.rect.x0, w.rect.y0, w.rect.width - 1, w.rect.height - 1)
+    mask = np.zeros(arr.shape, dtype=bool)
+    # sites with both neighbors stored occupy rows 1.. and columns ..-2
+    mask[1:, :-1] = sft.bad(arr[1:, :-1], arr[1:, 1:], arr[:-1, :-1])
+    return mask
 
 
 def bad_sites(w: Window, sft: NnSft) -> BadSites:
     """Sites whose right or up pair is forbidden (window version of the
     penalty potential's support)."""
-    mask, evaluable = bad_site_mask(w, sft)
-    rows, cols = np.nonzero(mask)
-    sites = frozenset(zip((cols + w.rect.x0).tolist(), (w.rect.y1 - rows).tolist()))
-    return BadSites(sites, evaluable)
+    xs, ys = w.rect.sites(*np.nonzero(bad_site_mask(w, sft)))
+    return BadSites(frozenset(zip(xs.tolist(), ys.tolist())))
 
 
 def check_ssf(sft: NnSft) -> SsfResult:

@@ -289,7 +289,7 @@ def reference_run_trial(cfg, index: int):
     region = cfg.region
 
     bad_total = result.total_bad
-    bad_mask, _ = bad_site_mask(corrupted, sft)
+    bad_mask = bad_site_mask(corrupted, sft)
     # the region's rows and columns of the window's array
     cut = (
         slice(corrupted.rect.y1 - region.y1, corrupted.rect.y1 - region.y0 + 1),
@@ -318,7 +318,7 @@ def reference_run_trial(cfg, index: int):
             birkhoff_sum(g, result.window, region),
             cfg.n,
         ),
-        repaired_clean=not bad_site_mask(result.window, sft)[0][cut].any(),
+        repaired_clean=not bad_site_mask(result.window, sft)[cut].any(),
         locality_ok=not (changed & ~bad_in_region).any(),
     )
 
@@ -412,7 +412,7 @@ def reference_parse_window(text: str) -> Window:
 def reference_decompose(w: Window, sft: NnSft, i: int) -> ShellDecomposition:
     """Shell i's bad sites, looked up site by site, grouped into maximal
     runs per side."""
-    mask, _ = bad_site_mask(w, sft)
+    mask = bad_site_mask(w, sft)
 
     def bad(x: int, y: int) -> bool:
         return bool(mask[w.rect.y1 - y, x - w.rect.x0])

@@ -297,11 +297,11 @@ def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, suppo
     # the output's bad sites in the region, and the windowed sums of
     # input and output, are bad_site_mask's and birkhoff_sum's
     cut = (slice(2, 2 * n + 3),) * 2  # the region in the window's array
-    assert rep.output_bad_count == int(bad_site_mask(out, sft)[0][cut].sum())
+    assert rep.output_bad_count == int(bad_site_mask(out, sft)[cut].sum())
     for window, total in ((w, rep.input_sum), (out, rep.output_sum)):
         assert repr(total) == repr(birkhoff_sum(g, window, region))
     allowed = np.zeros(w.array.shape, dtype=bool)
-    allowed[cut] = bad_site_mask(w, sft)[0][cut]
+    allowed[cut] = bad_site_mask(w, sft)[cut]
     assert rep.stray_changes == int(((w.array != out.array) & ~allowed).sum())
 
 
@@ -320,10 +320,19 @@ def test_row_bands_give_identical_reports(monkeypatch, k, rule, rate):
     n = (2, 3, 9, 17, 40)[BAND_CASES.index((k, rule, rate)) % 5]
     cfg = TrialConfig(sft=sft, n=n, rule=rule, corrupt_rate=rate, trials=2, seed=31 + k,
                       support_size=min(sft.q**9, 512))
+    budgets, seen = (1, 3 * (2 * n + 1), 2**62), set()
+    bands = Rect.bands
+
+    def spy(rect, sites):
+        seen.add(sites)
+        return bands(rect, sites)
+
+    monkeypatch.setattr(Rect, "bands", spy)
     results = []
-    for band_sites in (1, 3 * (2 * n + 1), 2**62):
+    for band_sites in budgets:
         monkeypatch.setattr(harness, "BAND_SITES", band_sites)
         results.append(run_experiment(cfg))
+    assert seen == set(budgets)  # the checks cut their bands by the patched budget
     first = results[0]
     for other in results[1:]:
         assert other.csv_text == first.csv_text

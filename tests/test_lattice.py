@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nnsft import lattice
 from nnsft.lattice import Rect, Window, metric_exact, parse_window, render_window
 
-from _util import random_window, reference_parse_window, reference_render_window, window_from_rows
+from _util import random_window, rect_sites, reference_parse_window, reference_render_window, window_from_rows
 
 
 def test_rect_basics():
@@ -21,6 +22,63 @@ def test_rect_basics():
     assert (r.x1, r.y1) == (2, 2) and Rect(0, 0, 2, 3).y1 == 2
     with pytest.raises(ValueError):
         Rect(0, 0, 0, 3)
+
+
+# off-centre, one row, one column, one site, and a box about the origin
+LAYOUT_RECTS = [Rect(3, -7, 5, 4), Rect(-9, 2, 6, 1), Rect(4, 5, 1, 7), Rect(-2, 8, 1, 1),
+                Rect.centered(3)]
+
+
+@pytest.mark.parametrize("rect", LAYOUT_RECTS)
+def test_rect_cells_and_sites_are_the_array_layout(rect):
+    # row 0 is the top row (largest y), column 0 the left column (smallest x)
+    for r in range(rect.height):
+        for c in range(rect.width):
+            site = (rect.x0 + c, rect.y0 + rect.height - 1 - r)
+            assert rect.sites(r, c) == site
+            assert rect.cells(*site) == (r, c)
+    rows, cols = np.divmod(np.arange(rect.area), rect.width)
+    xs, ys = rect.sites(rows, cols)
+    assert list(zip(xs.tolist(), ys.tolist())) == rect_sites(rect)
+    back = rect.cells(xs, ys)
+    assert np.array_equal(back[0], rows) and np.array_equal(back[1], cols)
+
+
+@pytest.mark.parametrize("rect", LAYOUT_RECTS)
+def test_rect_cut_holds_the_sub_rectangle(rect):
+    # every sub-rectangle: the cut of the site array is that sub's site array
+    xs, ys = rect.sites(*np.indices((rect.height, rect.width)))
+    for x0 in range(rect.x0, rect.x1 + 1):
+        for y0 in range(rect.y0, rect.y1 + 1):
+            for width in range(1, rect.x1 - x0 + 2):
+                for height in range(1, rect.y1 - y0 + 2):
+                    sub = Rect(x0, y0, width, height)
+                    sub_xs, sub_ys = sub.sites(*np.indices((height, width)))
+                    cut = rect.cut(sub)
+                    assert np.array_equal(xs[cut], sub_xs) and np.array_equal(ys[cut], sub_ys)
+    assert rect.cut(rect) == (slice(0, rect.height), slice(0, rect.width))
+
+
+@pytest.mark.parametrize("rect", LAYOUT_RECTS)
+def test_rect_bands_tile_the_rect_top_first(rect):
+    # budgets below one row, of exactly one row, between rows, and over the area
+    for sites in (1, rect.width - 1, rect.width, rect.width + 1, 2 * rect.width, rect.area + 5):
+        bands = list(rect.bands(sites))
+        rows = max(1, sites // rect.width)
+        assert all(b.x0 == rect.x0 and b.width == rect.width for b in bands)
+        assert all(b.area <= sites or b.height == 1 for b in bands)
+        assert all(b.height == rows for b in bands[:-1]) and 1 <= bands[-1].height <= rows
+        # top band first, each band directly below the one before, down to the bottom row
+        assert bands[0].y1 == rect.y1 and bands[-1].y0 == rect.y0
+        assert all(a.y0 == b.y1 + 1 for a, b in zip(bands, bands[1:]))
+        assert [u for b in bands for u in rect_sites(b)] == rect_sites(rect)
+
+
+@pytest.mark.parametrize("rect", LAYOUT_RECTS)
+def test_rect_norms_are_chebyshev_norms(rect):
+    norms = rect.norms()
+    assert norms.shape == (rect.height, rect.width)
+    assert norms.ravel().tolist() == [max(abs(x), abs(y)) for x, y in rect_sites(rect)]
 
 
 def test_window_accessors():
@@ -186,6 +244,20 @@ def test_window_text_matches_reference(w):
     text = render_window(w)
     assert text == reference_render_window(w)
     assert parse_window(text) == w
+
+
+@pytest.mark.parametrize("rect", [Rect(-3, 2, 9, 7), Rect(0, 0, 1, 6), Rect(5, -4, 7, 1)])
+def test_render_window_is_the_same_for_any_band_size(monkeypatch, rect):
+    # one row per band, five sites, one row exactly, and the whole window
+    # in one band; symbols of 1 to 4 digits, varying along rows and
+    # columns, so that bands differ in their widest symbol
+    high = 10 ** (1 + np.indices((rect.height, rect.width)).sum(axis=0) % 4)
+    w = Window(rect, np.random.default_rng(rect.area).integers(0, high))
+    texts = []
+    for band_sites in (1, 5, rect.width, 2**14):
+        monkeypatch.setattr(lattice, "BAND_SITES", band_sites)
+        texts.append(render_window(w))
+    assert texts == [reference_render_window(w)] * 4
 
 
 @settings(max_examples=200, deadline=None)

@@ -37,7 +37,6 @@ def test_bad_sites_examples():
     w = Window.filled(Rect.centered(2), 0).with_patch({(0, 0): 1, (0, 1): 1})
     bs = bad_sites(w, hs)
     assert bs.sites == {(0, 0)}
-    assert bs.evaluable == Rect(-2, -2, 4, 4)
 
     ones = Window.filled(Rect.centered(2), 1)
     bs = bad_sites(ones, hs)
@@ -46,9 +45,12 @@ def test_bad_sites_examples():
 
 
 def test_bad_sites_thin_window():
-    w = window_from_rows(0, 0, [[1, 1, 1]])
-    bs = bad_sites(w, hard_square())
-    assert bs.evaluable is None and not bs.sites
+    # a one-row or one-column window stores no site's right and up neighbors both
+    for rows in ([[1, 1, 1]], [[1], [1], [1]], [[1]]):
+        w = window_from_rows(0, 0, rows)
+        mask = bad_site_mask(w, hard_square())
+        assert mask.shape == w.array.shape and not mask.any()
+        assert not bad_sites(w, hard_square()).sites
 
 
 def test_bad_sites_matches_pair_scan_oracle():
@@ -163,7 +165,9 @@ def test_violations_bad_sites_consistency():
     for _ in range(30):
         w = random_window(Rect.centered(3), 2, rng)
         bs = bad_sites(w, hs)
-        from_pairs = {site for site, _ in forbidden_pairs(w, hs) if bs.evaluable.contains(site)}
+        # the sites whose right and up neighbors are both stored
+        evaluable = Rect(w.rect.x0, w.rect.y0, w.rect.width - 1, w.rect.height - 1)
+        from_pairs = {site for site, _ in forbidden_pairs(w, hs) if evaluable.contains(site)}
         assert from_pairs == set(bs.sites)
 
 
