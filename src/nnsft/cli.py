@@ -12,6 +12,7 @@ only `sft`, and `repair` and `entropy` no harness or potentials.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -182,24 +183,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("jobs must be >= 1")
     from .harness import TrialConfig, run_experiment
 
-    sft = load_sft(args.spec)
     cfg = TrialConfig(
-        sft=sft,
-        n=args.size,
-        epsilon=args.epsilon,
-        cap=args.cap,
-        corrupt_rate=args.corrupt,
-        support_size=args.support,
-        seed=args.seed,
-        trials=args.trials,
-        rule=args.rule,
+        sft=load_sft(args.spec), n=args.size, epsilon=args.epsilon, cap=args.cap,
+        corrupt_rate=args.corrupt, support_size=args.support, seed=args.seed,
+        trials=args.trials, rule=args.rule,
     )
-    result = run_experiment(cfg)
-    sys.stdout.write(result.csv_text)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write(result.csv_text)
-    return 0 if result.all_pass else 1
+    # the file is opened before the first trial, so a bad path runs none
+    with open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext() as f:
+        def write(text: str) -> None:
+            sys.stdout.write(text)
+            if f is not None:
+                f.write(text)
+
+        return 0 if run_experiment(cfg, write) else 1
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:

@@ -54,12 +54,15 @@ report does not depend on which trials ran before it, nor on how trials
 are chunked: the first trial of a chunk samples the windows of all of
 its trials in one sweep, each from its trial's own generator, which
 then goes on through the trial exactly as if it had sampled alone.
+run_experiment(cfg, write) hands each trial's CSV lines to write when
+the trial ends and keeps no report, so its memory is flat in the
+number of trials.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +131,8 @@ class TrialConfig:
                 "the certified gap may leave the hypothesis"
             )
         _check_sampling(self.cap, self.support_size, self.sft.q)
+        # what the first trial's sampler would refuse, refused before it runs
+        _check_stack(self.sft, self.window_radius, 1)
 
     @property
     def window_radius(self) -> int:
@@ -177,15 +182,8 @@ def sample_admissible_stack(
     """
     if radius < 0:
         raise ValueError("box radius must be >= 0")
+    _check_stack(sft, radius, len(rngs))
     side = 2 * radius + 1
-    sites = len(rngs) * side * side
-    if sites > WINDOW_SITE_GUARD:
-        what = f"a window of radius {radius}"
-        if len(rngs) > 1:
-            what = f"a stack of {len(rngs)} windows of radius {radius}"
-        raise ValueError(f"{what} has {sites} sites, over the sampling guard ({WINDOW_SITE_GUARD})")
-    if not sft.ssf.ok:
-        raise ValueError("sampling requires a single-site fillable SFT")
     if len(rngs) == 1:
         draws = rngs[0].random(side * side)
     else:
@@ -208,6 +206,19 @@ def sample_admissible_stack(
         Window(Rect.centered(radius), grid[side:0:-1, 1:].astype(np.int64, order="C"), _copy=False)
         for grid in grids
     ]
+
+
+def _check_stack(sft: NnSft, radius: int, count: int) -> None:
+    """Refuse what the sampler cannot place: count windows of this radius
+    over WINDOW_SITE_GUARD sites in all, or an SFT that is not SSF."""
+    sites = count * (2 * radius + 1) ** 2
+    if sites > WINDOW_SITE_GUARD:
+        what = f"a stack of {count} windows" if count > 1 else "a window"
+        raise ValueError(
+            f"{what} of radius {radius} has {sites} sites, over the sampling guard ({WINDOW_SITE_GUARD})"
+        )
+    if not sft.ssf.ok:
+        raise ValueError("sampling requires a single-site fillable SFT")
 
 
 def _pair_table_hits(table: np.ndarray, first: np.ndarray, second: np.ndarray) -> bool:
@@ -581,7 +592,8 @@ class TrialReport:
             and self.total_check.ok
         )
 
-    def csv_row(self) -> str:
+    def csv_lines(self) -> str:
+        """The trial's CSV row and comment lines, each ending in a newline."""
         cells = [
             str(self.index),
             str(self.seed),
@@ -596,7 +608,14 @@ class TrialReport:
             self.case1_status,
             "true" if self.all_pass else "false",
         ]
-        return ",".join(cells)
+        text = ",".join(cells) + "\n"
+        tc = self.total_check
+        if tc.vacuous:
+            text += f"# trial {self.index}: normalized bound vacuous (required={tc.required!r}); "
+            text += f"observed improvement {tc.improvement!r}\n"
+        if not self.all_pass:
+            text += f"# trial {self.index}: FAIL (seed {self.seed})\n"
+        return text
 
 
 CSV_HEADER = (
@@ -670,51 +689,33 @@ def run_trial(cfg: TrialConfig, index: int, chunk: TrialChunk | None = None) -> 
     )
 
 
-@dataclass
-class ExperimentResult:
-    reports: list[TrialReport]
-    csv_text: str
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.all_pass for r in self.reports)
-
-
-def render_csv(reports: list[TrialReport]) -> str:
-    lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(r.csv_row())
-        if r.total_check.vacuous:
-            lines.append(
-                f"# trial {r.index}: normalized bound vacuous "
-                f"(required={r.total_check.required!r}); "
-                f"observed improvement {r.total_check.improvement!r}"
-            )
-        if not r.all_pass:
-            lines.append(f"# trial {r.index}: FAIL (seed {r.seed})")
-    passed = sum(1 for r in reports if r.all_pass)
-    min_margin = min((r.shell_check.min_margin for r in reports), default=0.0)
-    min_literal = min((r.shell_check.min_literal_margin for r in reports), default=0.0)
-    vacuous = sum(1 for r in reports if r.total_check.vacuous)
-    lines.append(
-        f"# summary: trials={len(reports)} passed={passed} "
-        f"failed={len(reports) - passed} min_shell_margin={float(min_margin)!r} "
-        f"min_literal_shell_margin={float(min_literal)!r} "
-        f"vacuous_normalized={vacuous}"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def run_experiment(cfg: TrialConfig) -> ExperimentResult:
+def run_experiment(cfg: TrialConfig, write: Callable[[str], object]) -> bool:
     """Run all configured trials in order, in the calling thread, in
     chunks of at most CHUNK_SITES window sites (at least one window):
     the first run_trial of a chunk samples all of the chunk's windows in
-    one sweep, and each trial goes on from its own generator and
-    window."""
+    one sweep, and each trial goes on from its own generator and window.
+
+    The CSV goes to write as the run goes: the header with the first
+    trial's lines, each later trial's lines when it ends, the summary
+    line last. Only the summary's counts and minimum margins outlive a
+    trial. Returns whether every trial passed."""
     side = 2 * cfg.window_radius + 1
     per_chunk = max(1, CHUNK_SITES // (side * side))
-    reports = []
+    passed = vacuous = 0
+    min_margin = min_literal = math.inf
     for first in range(0, cfg.trials, per_chunk):
         chunk = TrialChunk(cfg, range(first, min(first + per_chunk, cfg.trials)))
-        reports.extend(run_trial(cfg, i, chunk) for i in chunk.indices)
-    return ExperimentResult(reports, render_csv(reports))
+        for i in chunk.indices:
+            r = run_trial(cfg, i, chunk)
+            passed += r.all_pass
+            vacuous += r.total_check.vacuous
+            min_margin = min(min_margin, r.shell_check.min_margin)
+            min_literal = min(min_literal, r.shell_check.min_literal_margin)
+            write(f"{CSV_HEADER}\n{r.csv_lines()}" if i == 0 else r.csv_lines())
+    write(
+        f"# summary: trials={cfg.trials} passed={passed} "
+        f"failed={cfg.trials - passed} min_shell_margin={float(min_margin)!r} "
+        f"min_literal_shell_margin={float(min_literal)!r} "
+        f"vacuous_normalized={vacuous}\n"
+    )
+    return passed == cfg.trials

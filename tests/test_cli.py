@@ -263,7 +263,26 @@ def test_verify_csv_shape(tmp_path):
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     assert len(rows) == 5  # header + 4 trials
     assert lines[-1].startswith("# summary:")
-    assert csv_path.read_text() == res.stdout
+    assert csv_path.read_bytes() == res.stdout.encode()
+
+
+def test_verify_refusal_writes_nothing(tmp_path):
+    # refused before the first trial: nothing on stdout and no CSV file,
+    # an unwritable --csv path included
+    csv_path = tmp_path / "f.csv"
+    guard = "a window of radius 1024 has 4198401 sites, over the sampling guard (4194304)"
+    for spec, size, path, message in (
+        ("checkerboard:4", "3", csv_path, "sampling requires a single-site fillable SFT"),
+        ("full:65", "3", csv_path, "alphabet too large for exhaustive SSF check (q > 64)"),
+        ("hardsquare", "1022", csv_path, guard),
+        ("checkerboard:4", "1022", csv_path, guard),
+        ("hardsquare", "3", tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"),
+    ):
+        res = run_cli("verify", "--spec", spec, "--size", size, "--trials", "2", "--csv", str(path))
+        assert res.returncode == 2, spec
+        assert res.stdout == "", spec
+        assert res.stderr.startswith(f"error: {message}") and len(res.stderr.splitlines()) == 1, spec
+        assert not path.exists(), spec
 
 
 # sha256 of the stdout of verify; the CSV bytes are the output contract

@@ -12,6 +12,7 @@ import nnsft.sft as sft_module
 from nnsft import harness
 from nnsft.cli import main
 from nnsft.harness import (
+    CSV_HEADER,
     WINDOW_SITE_GUARD,
     TrialConfig,
     TrialReport,
@@ -19,7 +20,6 @@ from nnsft.harness import (
     check_average_bounds,
     check_shell_gaps,
     corrupt,
-    render_csv,
     run_experiment,
     run_trial,
     sample_admissible,
@@ -52,6 +52,21 @@ def _zero_g(sft=HS):
     return PerturbedPotential.build(sft, RangeOnePerturbation({}, 1.0))
 
 
+def experiment(monkeypatch, cfg):
+    """run_experiment's verdict, the pieces it wrote, and its trials'
+    reports, caught by a spy on run_trial."""
+    pieces, reports = [], []
+
+    def spy(*args):
+        reports.append(run_trial(*args))
+        return reports[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_trial", spy)
+        all_pass = run_experiment(cfg, pieces.append)
+    return all_pass, pieces, reports
+
+
 def test_trial_config_validation():
     TrialConfig(sft=HS)
     with pytest.raises(ValueError, match="hypothesis"):
@@ -64,6 +79,16 @@ def test_trial_config_validation():
         TrialConfig(sft=HS, corrupt_rate=1.5)
     with pytest.raises(ValueError, match="support"):
         TrialConfig(sft=HS, support_size=-1)
+    # what the first trial's sampler would refuse, with the sampler's messages
+    with pytest.raises(ValueError, match="^sampling requires a single-site fillable SFT$"):
+        TrialConfig(sft=checkerboard(4), n=3)
+    with pytest.raises(ValueError, match="^alphabet too large for exhaustive SSF check"):
+        TrialConfig(sft=full_shift(65), n=3)
+    radius = (math.isqrt(WINDOW_SITE_GUARD) - 1) // 2  # the largest window the guard takes
+    TrialConfig(sft=HS, n=radius - 2)
+    for sft in (HS, checkerboard(4)):
+        with pytest.raises(ValueError, match=f"^a window of radius {radius + 1} has .* guard"):
+            TrialConfig(sft=sft, n=radius - 1)
 
 
 def test_trial_config_refuses_non_finite_epsilon_and_cap():
@@ -331,12 +356,13 @@ def test_row_bands_give_identical_reports(monkeypatch, k, rule, rate):
     results = []
     for band_sites in budgets:
         monkeypatch.setattr(harness, "BAND_SITES", band_sites)
-        results.append(run_experiment(cfg))
+        results.append(experiment(monkeypatch, cfg))
     assert seen == set(budgets)  # the checks cut their bands by the patched budget
-    first = results[0]
-    for other in results[1:]:
-        assert other.csv_text == first.csv_text
-        for a, b in zip(first.reports, other.reports):
+    _, first_text, first_reports = results[0]
+    assert len(first_reports) == 2
+    for _, text, reports in results[1:]:
+        assert text == first_text
+        for a, b in zip(first_reports, reports, strict=True):
             for name in ("admissible_check", "corrupted_check", "shell_check"):
                 assert repr(getattr(a, name)) == repr(getattr(b, name)), name
 
@@ -425,7 +451,7 @@ def test_run_trial_matches_reference_assembly(k, n, support, rule, rate, seed):
     got, want = run_trial(cfg, 1), reference_run_trial(cfg, 1)
     for f in dataclasses.fields(TrialReport):
         assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
-    assert got.csv_row() == want.csv_row()
+    assert got.csv_lines() == want.csv_lines()
 
 
 def test_run_trial_evaluates_each_window_state_once(monkeypatch):
@@ -520,10 +546,10 @@ def test_trial_and_cli_repair_build_no_decomposition(monkeypatch, tmp_path, caps
 
 def test_run_experiment_determinism_and_jobs():
     cfg = TrialConfig(sft=HS, n=10, seed=21, trials=6)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
-    assert a.csv_text == b.csv_text
-    assert a.all_pass
+    a, b = [], []
+    assert run_experiment(cfg, a.append)
+    assert run_experiment(cfg, b.append)
+    assert a == b
 
 
 @pytest.mark.parametrize("per_chunk", [2, 3])
@@ -537,13 +563,13 @@ def test_chunked_experiment_matches_trials_run_alone(monkeypatch, per_chunk, rul
     for k, sft in enumerate((HS, checkerboard(5), *TRIAL_SFTS[:2])):
         for trials in (1, per_chunk, per_chunk + 1, 2 * per_chunk - 1, 2 * per_chunk + 1):
             cfg = TrialConfig(sft=sft, n=n, rule=rule, seed=17 + k, trials=trials, corrupt_rate=0.3)
-            got = run_experiment(cfg).reports
+            _, _, got = experiment(monkeypatch, cfg)
             want = [run_trial(cfg, i) for i in range(trials)]
             assert len(got) == trials
             for a, b in zip(got, want):
                 for f in dataclasses.fields(TrialReport):
                     assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
-                assert a.csv_row() == b.csv_row()
+                assert a.csv_lines() == b.csv_lines()
 
 
 def test_run_experiment_samples_chunks_in_one_sweep(monkeypatch):
@@ -552,6 +578,7 @@ def test_run_experiment_samples_chunks_in_one_sweep(monkeypatch):
     # so that a profile counts it as trial work
     stacks, running = [], []
     stack = harness.sample_admissible_stack
+    report = run_trial(TrialConfig(sft=HS, n=2), 0)
 
     def recorded(sft, radius, rngs):
         stacks.append((running[-1], len(rngs)))
@@ -564,27 +591,27 @@ def test_run_experiment_samples_chunks_in_one_sweep(monkeypatch):
         with pytest.raises(KeyError):
             chunk.take(i)
         running.pop()
+        return report
 
     monkeypatch.setattr(harness, "sample_admissible_stack", recorded)
     monkeypatch.setattr(harness, "run_trial", trial)
-    monkeypatch.setattr(harness, "render_csv", lambda reports: "")
     for n, trials, want in (
         (24, 23, [(0, 11), (11, 11), (22, 1)]),
         (61, 3, [(0, 2), (2, 1)]),
         (62, 2, [(0, 1), (1, 1)]),
     ):
         stacks.clear()
-        run_experiment(TrialConfig(sft=HS, n=n, trials=trials))
+        run_experiment(TrialConfig(sft=HS, n=n, trials=trials), lambda text: None)
         assert stacks == want, n
 
 
-def test_csv_flags_recomputable_from_rows():
+def test_csv_flags_recomputable_from_rows(monkeypatch):
     # pass flags must be pure functions of the recorded numbers
     cfg = TrialConfig(sft=checkerboard(5), n=12, seed=9, trials=5)
-    result = run_experiment(cfg)
-    lines = [ln for ln in result.csv_text.splitlines() if ln and not ln.startswith("#")]
+    _, pieces, reports = experiment(monkeypatch, cfg)
+    lines = [ln for ln in "".join(pieces).splitlines() if ln and not ln.startswith("#")]
     header = lines[0].split(",")
-    for ln, rep in zip(lines[1:], result.reports):
+    for ln, rep in zip(lines[1:], reports, strict=True):
         row = dict(zip(header, ln.split(",")))
         n = int(row["N"])
         area = (2 * n + 1) ** 2
@@ -609,17 +636,61 @@ def test_csv_flags_recomputable_from_rows():
         assert (row["all_pass"] == "true") == expected_all
 
 
-def test_render_csv_summary_line():
+def test_run_experiment_summary_line(monkeypatch):
     cfg = TrialConfig(sft=HS, n=8, seed=2, trials=2)
-    reports = [run_trial(cfg, i) for i in range(2)]
-    text = render_csv(reports)
-    last = text.strip().splitlines()[-1]
+    _, pieces, reports = experiment(monkeypatch, cfg)
+    assert len(pieces) == 3  # header and trial 0, trial 1, summary
+    last = pieces[-1]
     assert last.startswith("# summary: trials=2 passed=2 failed=0")
-    assert "min_literal_shell_margin=" in last
+    assert last.endswith("\n") and last.count("\n") == 1
+    assert f"min_literal_shell_margin={min(r.shell_check.min_literal_margin for r in reports)!r} " in last
 
 
 def test_mixed_rates_all_pass_smoke():
     for rate in (0.0, 0.5, 1.0):
         cfg = TrialConfig(sft=HS, n=8, seed=31, trials=3, corrupt_rate=rate)
-        result = run_experiment(cfg)
-        assert result.all_pass, f"rate {rate}: {result.csv_text}"
+        pieces = []
+        assert run_experiment(cfg, pieces.append), f"rate {rate}: {''.join(pieces)}"
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_run_experiment_writes_each_trial_as_it_ends(monkeypatch, k):
+    # a run stopped at trial k has handed write the header and exactly
+    # the k finished trials' lines, as the full run wrote them
+    cfg = TrialConfig(sft=HS, n=4, seed=3, trials=6, corrupt_rate=0.5)
+    full = []
+    run_experiment(cfg, full.append)
+
+    def trial(cfg, i, chunk=None):
+        if i == k:
+            raise RuntimeError("stopped")
+        return run_trial(cfg, i, chunk)
+
+    monkeypatch.setattr(harness, "run_trial", trial)
+    pieces = []
+    with pytest.raises(RuntimeError, match="stopped"):
+        run_experiment(cfg, pieces.append)
+    assert pieces == full[:k]
+    rows = [ln for ln in "".join(pieces).splitlines() if not ln.startswith("#")]
+    assert rows[:1] == ([CSV_HEADER] if k else [])
+    assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(k))
+
+
+def test_run_experiment_memory_is_flat_in_trials(monkeypatch):
+    # with run_trial stubbed to one fixed report, nothing of a trial
+    # outlives it: 20,000 trials peak within 64 KB of 200
+    report = run_trial(TrialConfig(sft=HS, n=4, seed=1, corrupt_rate=0.5), 0)
+    monkeypatch.setattr(harness, "run_trial", lambda cfg, i, chunk=None: report)
+
+    def peak(trials):
+        cfg = TrialConfig(sft=HS, n=4, trials=trials)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_experiment(cfg, lambda text: None)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200), peak(20_000)
+    assert large - small <= 64 * 1024, (small, large)
