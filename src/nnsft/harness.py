@@ -75,7 +75,7 @@ from .potentials import (
     region_patches,
     sample_perturbation,
 )
-from .repair import repair
+from .repair import _check_rule_name, repair
 # bad_site_mask is unused here but stays in the namespace: the
 # benchmark's tracer test patches and reads harness.bad_site_mask
 from .sft import NnSft, _check_symbols, bad_site_mask  # noqa: F401
@@ -122,6 +122,7 @@ class TrialConfig:
         _check_corrupt_rate(self.corrupt_rate)
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        _check_rule_name(self.rule)
         # a NaN makes the hypothesis test below False; an infinite epsilon passes any cap
         if not (math.isfinite(self.epsilon) and math.isfinite(self.cap)):
             raise ValueError("epsilon and cap must be finite")

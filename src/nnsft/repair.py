@@ -134,9 +134,13 @@ def _decompose(
     return [ShellDecomposition(i, {k: tuple(v) for k, v in d.items()}) for i, d in enumerate(runs)]
 
 
-def _check_rule(rule: str, rng: np.random.Generator | None) -> None:
+def _check_rule_name(rule: str) -> None:
     if rule not in ("smallest", "random"):
         raise ValueError(f"unknown fill rule {rule!r}; expected 'smallest' or 'random'")
+
+
+def _check_rule(rule: str, rng: np.random.Generator | None) -> None:
+    _check_rule_name(rule)
     if rule == "random" and rng is None:
         raise ValueError("fill rule 'random' needs a random generator")
 
@@ -144,7 +148,7 @@ def _check_rule(rule: str, rng: np.random.Generator | None) -> None:
 def _sweep(
     buf: bytearray,
     rect: Rect,
-    table: list[list[int]],
+    table: tuple[tuple[int, ...], ...],
     sites: list[int],
     rule: str,
     rng: np.random.Generator | None,
@@ -152,8 +156,8 @@ def _sweep(
     """Rewrite the sites, flat indices into buf (rect's array raveled
     row-major, one byte per symbol), in order. Each gets the lowest
     symbol that fits its four current neighbors (rule "smallest") or
-    one drawn uniformly among them (rule "random"); table is the fill
-    table as lists. Callers guarantee that every site and its four
+    one drawn uniformly among them (rule "random"); table is
+    NnSft.fill_table. Callers guarantee that every site and its four
     neighbors are inside rect.
     """
     north, south, east, west = table
@@ -192,7 +196,7 @@ def fill_segment(
     rect = w.rect
     flat = [r * rect.width + c for r, c in (rect.cells(*u) for u in sites)]
     buf = bytearray(w.array.astype(np.uint8, order="C"))
-    _sweep(buf, rect, sft.fill_table.tolist(), flat, rule, rng)
+    _sweep(buf, rect, sft.fill_table, flat, rule, rng)
     return {s: buf[k] for s, k in zip(sites, flat)}
 
 
@@ -245,7 +249,7 @@ def repair(
     sizes = np.bincount(sweep[0], minlength=n + 1).tolist()
     # symbols fit a byte: bad_site_mask checked they are below q <= 64
     buf = bytearray(w.array.astype(np.uint8, order="C"))
-    _sweep(buf, rect, sft.fill_table.tolist(), sites.tolist(), rule, rng)
+    _sweep(buf, rect, sft.fill_table, sites.tolist(), rule, rng)
     # converting to int64 copies, so the window shares no memory with buf
     out = Window(rect, np.frombuffer(buf, np.uint8).reshape(mask.shape), _copy=False)
     return RepairResult(out, sizes, tuple(sweep))

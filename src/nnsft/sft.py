@@ -14,11 +14,15 @@ neighbor outside it, so it is never marked bad.
 Single-site fillability (SSF): for every assignment of four symbols to
 a site's neighbors, some center symbol is compatible with all four
 constraints. The fill table holds, for each direction and neighbor
-symbol, the bitmask of compatible centers, so the centers that fit a
-boundary are the AND of four masks. The SSF check ANDs them over all
-q**4 boundary assignments (admissible or not); the sampler and repair
-pick their symbols from the same masks. A safe symbol is a center that
-works for every boundary, i.e. a symbol in no forbidden pair.
+symbol, the bitmask of compatible centers as a Python int, so the
+centers that fit a boundary are the AND of four masks. The SSF check
+decides all q**4 boundary assignments (admissible or not) from the same
+masks with bitsets; the sampler and repair pick their symbols from them.
+A safe symbol is a center that works for every boundary, i.e. a symbol
+in no forbidden pair.
+
+Only the functions that build arrays import numpy, so deciding SSF
+(the `check` command) loads none.
 """
 
 from __future__ import annotations
@@ -28,14 +32,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # `check` runs nothing of lattice or numpy, so neither is loaded for it
+    import numpy as np
 
-if TYPE_CHECKING:  # `check` runs nothing of lattice, so it is not loaded for it
     from .lattice import Site, Window
 
 Pair = tuple[int, int]
 
-SSF_BRUTE_FORCE_LIMIT = 64  # q**4 boundaries; also the width of a uint64 center mask
+# the widest alphabet: pick_table stores the masks as uint64, and repair's
+# windows hold one symbol per byte
+SSF_BRUTE_FORCE_LIMIT = 64
 STATE_ENUM_GUARD = 2_000_000  # strip states entropy may enumerate; load_sft refuses past it
 
 # rows of NnSft.fill_table, in the order of an SSF witness
@@ -63,47 +69,33 @@ class NnSft:
     @cached_property
     def h_table(self) -> np.ndarray:
         """Boolean q x q table; [a, b] is True when a-left-of-b is forbidden."""
-        t = np.zeros((self.q, self.q), dtype=bool)
-        for a, b in self.hforbid:
-            t[a, b] = True
-        t.flags.writeable = False
-        return t
+        return _pair_table(self.q, self.hforbid)
 
     @cached_property
     def v_table(self) -> np.ndarray:
         """Boolean q x q table; [a, b] is True when a-below-b is forbidden."""
-        t = np.zeros((self.q, self.q), dtype=bool)
-        for a, b in self.vforbid:
-            t[a, b] = True
-        t.flags.writeable = False
-        return t
+        return _pair_table(self.q, self.vforbid)
 
     def bad(self, center: np.ndarray, right: np.ndarray, up: np.ndarray) -> np.ndarray:
         """Whether the pair (center, right) or (center, up) is forbidden."""
         return self.h_table[center, right] | self.v_table[center, up]
 
     @cached_property
-    def fill_table(self) -> np.ndarray:
-        """uint64 array of shape (4, q + 1): row d, column b is the bitmask
-        (bit a for center a) of the centers compatible with neighbor b in
+    def fill_table(self) -> tuple[tuple[int, ...], ...]:
+        """Four tuples of q + 1 ints: row d, column b is the bitmask (bit a
+        for center a) of the centers compatible with neighbor b in
         direction d (NORTH, SOUTH, EAST, WEST). Column q stands for "no
         neighbor" and has all q bits set."""
         q = self.q
         if q > SSF_BRUTE_FORCE_LIMIT:
             raise ValueError(f"alphabet too large for a fill table (q > {SSF_BRUTE_FORCE_LIMIT})")
-        bits = np.left_shift(np.uint64(1), np.arange(q, dtype=np.uint64))
-        t = np.empty((4, q + 1), dtype=np.uint64)
-        # ok[b, a]: center a may sit next to neighbor b in that direction
-        for d, ok in (
-            (NORTH, ~self.v_table.T),
-            (SOUTH, ~self.v_table),
-            (EAST, ~self.h_table.T),
-            (WEST, ~self.h_table),
-        ):
-            t[d, :q] = np.bitwise_or.reduce(np.where(ok, bits, np.uint64(0)), axis=1)
-        t[:, q] = np.bitwise_or.reduce(bits)
-        t.flags.writeable = False
-        return t
+        t = [[(1 << q) - 1] * (q + 1) for _ in range(4)]
+        # a forbidden pair (a, b) bans center b next to a, and center a next to b
+        for pairs, before, after in ((self.hforbid, WEST, EAST), (self.vforbid, SOUTH, NORTH)):
+            for a, b in pairs:
+                t[before][a] &= ~(1 << b)
+                t[after][b] &= ~(1 << a)
+        return tuple(map(tuple, t))
 
     @cached_property
     def pick_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +103,11 @@ class NnSft:
         d (q for "none"), row l*(q+1) + d of the (q+1)**2 x q table lists
         the centers compatible with both, in increasing order and first,
         and the count array says how many there are."""
+        import numpy as np
+
         q = self.q
-        both = self.fill_table[WEST][:, None] & self.fill_table[SOUTH][None, :]
+        west, south = (np.array(self.fill_table[d], dtype=np.uint64) for d in (WEST, SOUTH))
+        both = west[:, None] & south[None, :]
         ok = (both.reshape(-1, 1) >> np.arange(q, dtype=np.uint64) & np.uint64(1)).astype(bool)
         table = np.argsort(~ok, axis=1, kind="stable")
         count = ok.sum(axis=1)
@@ -122,6 +117,16 @@ class NnSft:
     @cached_property
     def ssf(self) -> "SsfResult":
         return check_ssf(self)
+
+
+def _pair_table(q: int, pairs: frozenset[Pair]) -> np.ndarray:
+    import numpy as np
+
+    t = np.zeros((q, q), dtype=bool)
+    for a, b in pairs:
+        t[a, b] = True
+    t.flags.writeable = False
+    return t
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,8 @@ class SymbolRangeError(ValueError):
 
 
 def _check_symbols(w: Window, sft: NnSft) -> None:
+    import numpy as np
+
     arr = w.array
     if arr.size and (int(arr.max()) >= sft.q or int(arr.min()) < 0):
         bad = (arr >= sft.q) | (arr < 0)
@@ -154,6 +161,8 @@ def _check_symbols(w: Window, sft: NnSft) -> None:
 def bad_site_mask(w: Window, sft: NnSft) -> np.ndarray:
     """Boolean array over the window marking bad sites; False on the top
     row and the right column, whose right or up neighbor is not stored."""
+    import numpy as np
+
     _check_symbols(w, sft)
     arr = w.array
     mask = np.zeros(arr.shape, dtype=bool)
@@ -165,7 +174,7 @@ def bad_site_mask(w: Window, sft: NnSft) -> np.ndarray:
 def bad_sites(w: Window, sft: NnSft) -> BadSites:
     """Sites whose right or up pair is forbidden (window version of the
     penalty potential's support)."""
-    xs, ys = w.rect.sites(*np.nonzero(bad_site_mask(w, sft)))
+    xs, ys = w.rect.sites(*bad_site_mask(w, sft).nonzero())
     return BadSites(frozenset(zip(xs.tolist(), ys.tolist())))
 
 
@@ -175,21 +184,37 @@ def check_ssf(sft: NnSft) -> SsfResult:
     For every boundary assignment (north, south, east, west) there must
     be a center symbol a with (west, a) and (a, east) horizontally
     allowed and (south, a) and (a, north) vertically allowed, i.e. the
-    AND of the four fill-table masks is nonzero. On failure the
-    lexicographically first blocking boundary is returned. One north
-    symbol is checked at a time, so at most q**3 masks are held.
+    AND of the four fill-table masks is nonzero. Bit e*q + w of cover[a]
+    is set when center a fits east e and west w; a (north, south) pair
+    is fillable when the covers of the centers fitting both OR to all
+    q**2 bits, decided once per distinct mask of those centers. On
+    failure the lexicographically first blocking boundary is returned:
+    the first failing (north, south), with the lowest missing bit.
     """
     q = sft.q
     if q > SSF_BRUTE_FORCE_LIMIT:
         raise ValueError(f"alphabet too large for exhaustive SSF check (q > {SSF_BRUTE_FORCE_LIMIT})")
-    t = sft.fill_table[:, :q]
-    ew = (t[EAST][:, None] & t[WEST][None, :]).ravel()  # index e * q + w
+    north, south, east, west = sft.fill_table
+    cover = []
+    for a in range(q):
+        wests = sum(1 << w for w in range(q) if west[w] >> a & 1)
+        cover.append(sum(wests << e * q for e in range(q) if east[e] >> a & 1))
+    everything = (1 << q * q) - 1
+    missing: dict[int, int] = {}  # centers mask -> the (e, w) bits none of them covers
     for n in range(q):
-        blocked = (t[NORTH][n] & t[SOUTH][:, None] & ew[None, :]) == 0  # [s, e * q + w]
-        if blocked.any():
-            s, e_w = divmod(int(np.argmax(blocked)), q * q)
-            e, w = divmod(e_w, q)
-            return SsfResult(False, (n, s, e, w))
+        for s in range(q):
+            centers = north[n] & south[s]
+            gap = missing.get(centers)
+            if gap is None:
+                covered, m = 0, centers
+                while m and covered != everything:  # stop once every (e, w) is covered
+                    low = m & -m
+                    covered |= cover[low.bit_length() - 1]
+                    m ^= low
+                gap = missing[centers] = everything & ~covered
+            if gap:
+                e, w = divmod((gap & -gap).bit_length() - 1, q)
+                return SsfResult(False, (n, s, e, w))
     return SsfResult(True, None)
 
 

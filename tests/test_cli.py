@@ -371,14 +371,16 @@ def test_each_module_imports_as_itself_and_the_package_loads_no_numpy():
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
     # each command imports its modules when it runs: check loads only sft
-    # of the package, repair and entropy no harness; nothing is timed
+    # of the package and no numpy, repair and entropy no harness; nothing
+    # is timed
     window = tmp_path / "w.txt"
     window.write_text("window -2 -2 5 5\n" + "0 0 0 0 0\n" * 5)
     probe = "import sys\nfrom nnsft.cli import main\nmain(sys.argv[1:])\nprint(*sorted(sys.modules))\n"
     trial_layers = {"nnsft.harness", "nnsft.potentials", "nnsft.repair", "nnsft.lattice", "nnsft.sft"}
     for args, absent, present in (
         (("check", "--spec", "hardsquare"),
-         {"nnsft.harness", "nnsft.potentials", "nnsft.repair", "nnsft.entropy", "nnsft.lattice", "fractions"},
+         {"nnsft.harness", "nnsft.potentials", "nnsft.repair", "nnsft.entropy", "nnsft.lattice", "fractions",
+          "numpy"},
          {"nnsft.sft"}),
         (("entropy", "--spec", "hardsquare", "--strip-width", "4"),
          {"nnsft.harness", "nnsft.potentials"}, {"nnsft.entropy"}),

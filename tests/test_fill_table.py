@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nnsft.harness import corrupt, sample_admissible, sample_admissible_stack
 from nnsft.repair import repair
-from nnsft.sft import EAST, NORTH, SOUTH, WEST, NnSft, check_ssf, checkerboard, hard_square
+from nnsft.sft import EAST, NORTH, SOUTH, WEST, NnSft, SsfResult, check_ssf, checkerboard, hard_square
 
 from _util import (
     random_ssf_sfts,
@@ -22,38 +22,45 @@ SFTS = random_ssf_sfts(12, seed=2024) + [hard_square(), checkerboard(5)]
 
 def test_fill_table_hard_square():
     t = hard_square().fill_table
-    assert t.shape == (4, 3) and t.dtype == np.uint64
+    assert len(t) == 4
     # a 1 neighbor in any direction forces a 0 center; 0 or no neighbor allows both
     for d in (NORTH, SOUTH, EAST, WEST):
-        assert t[d].tolist() == [0b11, 0b01, 0b11]
+        assert t[d] == (0b11, 0b01, 0b11)
 
 
 def test_fill_table_directions():
     # 0 left of 1 and 2 below 0 are forbidden
     t = NnSft(3, frozenset({(0, 1)}), frozenset({(2, 0)})).fill_table
-    assert t[WEST].tolist() == [0b101, 0b111, 0b111, 0b111]  # west 0 bans center 1
-    assert t[EAST].tolist() == [0b111, 0b110, 0b111, 0b111]  # east 1 bans center 0
-    assert t[SOUTH].tolist() == [0b111, 0b111, 0b110, 0b111]  # south 2 bans center 0
-    assert t[NORTH].tolist() == [0b011, 0b111, 0b111, 0b111]  # north 0 bans center 2
+    assert t[WEST] == (0b101, 0b111, 0b111, 0b111)  # west 0 bans center 1
+    assert t[EAST] == (0b111, 0b110, 0b111, 0b111)  # east 1 bans center 0
+    assert t[SOUTH] == (0b111, 0b111, 0b110, 0b111)  # south 2 bans center 0
+    assert t[NORTH] == (0b011, 0b111, 0b111, 0b111)  # north 0 bans center 2
 
 
 def test_fill_table_full_width():
     t = checkerboard(64).fill_table
-    assert int(t[NORTH, 64]) == 2**64 - 1
-    assert int(t[WEST, 63]) == 2**63 - 1
+    assert t[NORTH][64] == 2**64 - 1
+    assert t[WEST][63] == 2**63 - 1
     assert check_ssf(checkerboard(64)).ok
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    q=st.integers(1, 5),
-    pairs=st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)), max_size=14),
-)
-def test_check_ssf_witness_matches_reference(q, pairs):
-    hf = frozenset((a % q, b % q) for horizontal, a, b in pairs if horizontal)
-    vf = frozenset((a % q, b % q) for horizontal, a, b in pairs if not horizontal)
-    sft = NnSft(q, hf, vf)
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(1, 12), data=st.data())
+def test_check_ssf_witness_matches_reference(q, data):
+    pairs = st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)), max_size=3 * q)
+    sft = NnSft(q, frozenset(data.draw(pairs)), frozenset(data.draw(pairs)))
     assert check_ssf(sft) == reference_check_ssf(sft)
+
+
+def test_check_ssf_witness_at_full_width():
+    # q = 64, too slow for the reference's q**4 table; these witnesses
+    # were pinned from the earlier numpy check
+    eq = {(a, a) for a in range(64)}
+    for hf, vf, witness in (
+        (eq, eq | {(a, 62) for a in range(64)}, (62, 0, 0, 0)),
+        (eq | {(a, 50) for a in range(20, 64)}, eq | {(a, 62) for a in range(40)}, (62, 0, 50, 0)),
+    ):
+        assert check_ssf(NnSft(64, frozenset(hf), frozenset(vf))) == SsfResult(False, witness)
 
 
 def test_pick_table_hard_square():

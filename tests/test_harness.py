@@ -102,6 +102,18 @@ def test_trial_config_refuses_non_finite_epsilon_and_cap():
             TrialConfig(sft=HS, epsilon=epsilon, cap=cap)
 
 
+def test_unknown_rule_refused_before_sampling(monkeypatch):
+    # refused when the config is built, not by repair inside the first
+    # trial, after the trial's window was sampled
+    def refuse(*_):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(harness, "sample_admissible_stack", refuse)
+    monkeypatch.setattr(harness, "sample_admissible", refuse)
+    with pytest.raises(ValueError, match="^unknown fill rule 'bogus'; expected 'smallest' or 'random'$"):
+        run_experiment(TrialConfig(sft=HS, n=3, rule="bogus"), lambda _: None)
+
+
 def test_sample_admissible():
     for seed in range(5):
         rng = np.random.default_rng(seed)
