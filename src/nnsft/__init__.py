@@ -5,7 +5,7 @@ and strip transfer-matrix entropy.
 
 Importing nnsft starts numpy's BLAS with one thread, whatever
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS say: the only
-BLAS call, the strip matvec's tensordot, has an inner dimension of q,
+BLAS call, the strip matvec's np.dot, has an inner dimension of q,
 too small for a second thread to pay, and an idle worker still spins
 and burns CPU. The pin acts whenever nnsft, or any of its modules, is
 imported before numpy; a thread pool that numpy has already started

@@ -1,7 +1,8 @@
 """Command-line driver: check, sample, repair, verify, entropy.
 
 Exit codes: 0 on success / all checks passing, 1 when a check fails or
-a violation is found, 2 on input errors (bad flags, unparsable files).
+a violation is found, 2 on input errors (bad flags, unparsable files),
+141 (128 + SIGPIPE) when stdout's reader has closed the pipe.
 Every command is deterministic given its flags; repeated invocations
 produce byte-identical output.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 from .sft import find_safe_symbols, load_sft
@@ -220,6 +222,21 @@ _COMMANDS = {
 }
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at the null device, so the flush at exit
+    has somewhere to write what a closed pipe refused. A stream with no
+    descriptor (a test's capture) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -227,7 +244,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        rc = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader has gone (`nnsft ... | head -1`): print nothing and
+        # exit as a shell reports a process killed by SIGPIPE
+        _stdout_to_devnull()
+        return 141
     except (ValueError, OSError) as exc:  # parse and empty-subshift errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

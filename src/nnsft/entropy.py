@@ -12,16 +12,24 @@ position at a time, bottom first, and only admissible states are
 touched: after j contractions the partial product is a 2-D array whose
 rows are the vertically admissible prefixes of length j (new symbols)
 and whose columns are the admissible suffixes of length m - j (old
-symbols), both in lexicographic order. Every step runs the same
-`np.tensordot` the full q**m tensor would, on the same nonzero terms in
-the same order, so the result is identical to the bit. Power iteration
-runs on I + T so periodic transition structure cannot stall
-convergence; lambda_max(T) is recovered by subtracting one.
+symbols), both in lexicographic order. Every step is one `np.dot` of
+the q x q compatibility table with a (q, prefixes x suffixes) operand,
+gathered into buffers the transfer reuses, so after its first call a
+matvec allocates only its result (and numpy's transient intp copies of
+the int32 index tables). The dot is kept whole: BLAS can sum a column
+in another order when the matrix around it has another width, and a
+broadcast `np.matmul` or a dot over column chunks moves the last bit
+of some strips with q in the tens or hundreds (full:300 at m = 2 is
+one). The full q**m tensor's dots have other widths too; they agree to
+the bit at the alphabets the tests compare with it, but not at every q.
+Power iteration runs on I + T so periodic transition structure cannot
+stall convergence; lambda_max(T) is recovered by subtracting one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf, log
 
 import numpy as np
@@ -50,6 +58,8 @@ class StripTransfer:
     (b, suffix') to a column of stage j, an inadmissible pair and the
     trailing slot to stage j's zero column; `rows` picks the admissible
     (prefix, a) rows of the contracted block, in lexicographic order.
+    Every table entry is below q**max(m, 2) <= STATE_ENUM_GUARD < 2**31,
+    so the tables are int32.
     """
 
     sft: NnSft
@@ -77,14 +87,14 @@ class StripTransfer:
         v_ok = ~sft.v_table
         # words[k]: codes of the admissible columns of height k, sorted;
         # a prefix and a suffix of height k range over the same words
-        words = [np.zeros(1, dtype=np.int64)]
+        words = [np.zeros(1, dtype=np.int32)]
         extensions = []  # (word index, appended symbol) per height
         for k in range(1, m + 1):
             prev = words[-1]
             ext = np.ones((1, q), dtype=bool) if k == 1 else v_ok[prev % q]
             i, a = np.nonzero(ext)
             extensions.append((i, a))
-            words.append(prev[i] * q + a)
+            words.append((prev[i] * q + a).astype(np.int32))
         steps = []
         for j in range(m if len(words[m]) else 0):
             top, rest = words[m - j], words[m - j - 1]
@@ -98,17 +108,47 @@ class StripTransfer:
                 # another order
                 cols = np.concatenate([cols, np.full((q, 1), len(top))], axis=1)
             i, a = extensions[j]
-            steps.append((cols, a * len(words[j]) + i))
+            steps.append((cols.astype(np.int32), (a * len(words[j]) + i).astype(np.int32)))
         h_ok = (~sft.h_table).astype(float)
         return cls(sft, m, words[m], tuple(steps), h_ok)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """T @ v for a vector over the states in lexicographic order."""
-        stage = np.append(v, 0.0)[None, :]
+    @cached_property
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat operand, product and stage buffers, each sized for the
+        largest position it serves."""
+        q = self.sft.q
+        block, stage, prefixes = 0, self.state_count + 1, 1
         for cols, rows in self.steps:
-            block = np.tensordot(self.h_ok, stage[:, cols], axes=([1], [1]))
-            stage = block.reshape(-1, block.shape[2])[rows]
-        return stage[:, 0]
+            block = max(block, q * prefixes * cols.shape[1])
+            prefixes = len(rows)
+            stage = max(stage, prefixes * cols.shape[1])
+        return np.empty(block), np.empty(block), np.empty(stage)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """T @ v for a vector over the states in lexicographic order.
+
+        Works in buffers reused from call to call, so one transfer must
+        not run two matvecs at once; the result is a fresh array."""
+        operand, product, stage = self._buffers
+        q = self.sft.q
+        stage[: len(v)] = v
+        stage[len(v)] = 0.0
+        prefixes, width = 1, len(v) + 1
+        for cols, rows in self.steps:
+            src = stage[: prefixes * width].reshape(prefixes, width)
+            n = prefixes * cols.shape[1]
+            gathered = operand[: q * n].reshape(q, n)
+            for b in range(q):
+                # every index is in range; mode="clip" lets take write
+                # straight into out, where "raise" would buffer it
+                np.take(src, cols[b], axis=1, out=gathered[b].reshape(prefixes, -1), mode="clip")
+            block = product[: q * n].reshape(q, n)
+            np.dot(self.h_ok, gathered, out=block)
+            # the gather has read the stage, so the pick may overwrite it
+            prefixes, width = len(rows), cols.shape[1]
+            np.take(block.reshape(-1, width), rows, axis=0,
+                    out=stage[: prefixes * width].reshape(prefixes, width), mode="clip")
+        return stage[: prefixes * width : width].copy()
 
 
 @dataclass(frozen=True)
@@ -158,16 +198,20 @@ def strip_entropy(
     scratch = np.zeros(sft.q**m)
     v = np.ones(transfer.state_count)
     v /= transfer.state_count
+    tmp = np.empty_like(v)
     for iterations in range(1, max_iter + 1):
-        w = transfer.matvec(v) + v  # iterate I + T; keeps periodic T convergent
+        w = transfer.matvec(v)
+        w += v  # iterate I + T; keeps periodic T convergent
         # v starts uniform, so w > v exactly at the columns with a successor
         if iterations == 1 and not (w > v).all():
             _require_cycle(transfer, w > v, max_iter)
         scratch[codes] = w
         s = float(scratch.sum())  # = L1 norm: w is nonnegative and v is normalized
-        scratch[codes] = np.abs(w - s * v)
+        np.multiply(v, s, out=tmp)
+        np.subtract(w, tmp, out=tmp)
+        scratch[codes] = np.abs(tmp, out=tmp)
         residual = float(scratch.sum())
-        v = w / s
+        np.divide(w, s, out=v)
         if residual <= tol * s:
             lam = s - 1.0
             if lam <= 0.0:

@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 
-from nnsft.entropy import TOL_FLOOR, ConvergenceError, EmptySubshiftError, StripEntropyResult
+from nnsft.entropy import TOL_FLOOR, ConvergenceError, EmptySubshiftError, StripEntropyResult, StripTransfer
 from nnsft.harness import (
     TrialReport,
     _total_report,
@@ -471,7 +471,8 @@ def reference_repair(
 # tensor, vertically admissible columns masked in, after a check that
 # some column can be followed forever. The enumerated-state iteration in
 # nnsft.entropy must give exactly its value, state count and iteration
-# count, and raise where it raises.
+# count, and raise where it raises, at the alphabets compared with it:
+# its dots have other widths, which BLAS may sum in another order.
 
 
 def reference_strip_entropy(
@@ -520,3 +521,15 @@ def reference_strip_entropy(
             # T has a cycle (see the pruning above), so lambda_max >= 1
             return StripEntropyResult(math.log(max(lam, 1.0)) / m, m, count, iterations)
     raise ConvergenceError(f"power iteration did not certify convergence in {max_iter} steps")
+
+
+def reference_strip_matvec(transfer: StripTransfer, v: np.ndarray) -> np.ndarray:
+    """StripTransfer.matvec with fresh arrays at every position: fancy
+    indexing gathers the stage's columns and np.tensordot contracts
+    them. Its dot has the operands and shape of the reused-buffer
+    kernel's, so the two agree to the bit at any alphabet."""
+    stage = np.append(v, 0.0)[None, :]
+    for cols, rows in transfer.steps:
+        block = np.tensordot(transfer.h_ok, stage[:, cols], axes=([1], [1]))
+        stage = block.reshape(-1, block.shape[2])[rows]
+    return stage[:, 0]

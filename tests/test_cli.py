@@ -470,6 +470,29 @@ def test_main_in_process_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "args",
+    [("entropy", "--spec", "hardsquare", "--strip-width", "4"),
+     ("verify", "--spec", "hardsquare", "--size", "8", "--trials", "2")],
+    ids=["entropy", "verify"],
+)
+def test_closed_stdout_pipe_exits_141_silently(args, unbuffered):
+    # the reader is gone before the first line; a print fails unbuffered,
+    # the flush before main returns fails buffered
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run([sys.executable, "-m", "nnsft.cli", *args], stdout=write,
+                             stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert (res.returncode, res.stderr) == (141, b"")
+
+
 def test_spec_render_parse_round_trip_random():
     rng = np.random.default_rng(23)
     for _ in range(100):

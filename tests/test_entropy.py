@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from nnsft.entropy import (
 from nnsft.cli import main
 from nnsft.sft import NnSft, checkerboard, full_shift, hard_square, parse_sft
 
-from _util import random_ssf_sfts, reference_strip_entropy
+from _util import random_ssf_sfts, reference_strip_entropy, reference_strip_matvec
 
 HARD_SQUARE_ENTROPY = 0.4074951  # rounded down; Baxter's value is 0.4074951009...
 
@@ -275,3 +276,56 @@ def test_matches_masked_tensor_on_any_sft(q, m, pairs):
     vf = frozenset((a % q, b % q) for horizontal, a, b in pairs if not horizontal)
     sft = NnSft(q, hf, vf)
     assert _outcome(strip_entropy, sft, m) == _outcome(reference_strip_entropy, sft, m)
+
+
+def test_matches_masked_tensor_at_a_large_alphabet():
+    # a broadcast np.matmul moves this value's last bit
+    assert _outcome(strip_entropy, full_shift(300), 2) == _outcome(reference_strip_entropy, full_shift(300), 2)
+
+
+def _large_alphabet_sft(seed: int) -> tuple[NnSft, int]:
+    """q in 10..70 at width 2 or 3 with q**m <= 300,000; each direction
+    forbids each pair with its own chance, below 1/2."""
+    rng = np.random.default_rng(seed)
+    while True:
+        q, m = int(rng.integers(10, 71)), int(rng.integers(2, 4))
+        if q**m <= 300_000:
+            break
+    hd, vd = rng.random(2) * 0.5
+    hf = frozenset(map(tuple, np.argwhere(rng.random((q, q)) < hd).tolist()))
+    vf = frozenset(map(tuple, np.argwhere(rng.random((q, q)) < vd).tolist()))
+    return NnSft(q, hf, vf), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+# q = 54, m = 3: a dot over column chunks of 2**12 // q columns moves its last bit
+@example(seed=4)
+# q = 64, m = 2: a broadcast np.matmul moves its last bit
+@example(seed=18)
+def test_matches_tensordot_kernel_at_large_alphabets(seed):
+    # the masked tensor's dots have other widths, and on some of these
+    # SFTs BLAS sums them in another order (q = 18 at seed 11); the
+    # fresh-array kernel makes the very dot the buffered one makes
+    sft, m = _large_alphabet_sft(seed)
+    expected = _outcome(strip_entropy, sft, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StripTransfer, "matvec", reference_strip_matvec)
+        assert _outcome(strip_entropy, sft, m) == expected
+
+
+def test_matvec_allocates_only_its_result():
+    transfer = StripTransfer.build(checkerboard(5), 8)
+    v = np.random.default_rng(72).random(transfer.state_count)
+    first = transfer.matvec(v)
+    tracemalloc.start()
+    try:
+        second = transfer.matvec(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= second.nbytes + 64 * 1024
+    assert second.tolist() == first.tolist()
+    # a fresh array: writing into it leaves the next result alone
+    second[:] = -1.0
+    assert transfer.matvec(v).tolist() == first.tolist()
