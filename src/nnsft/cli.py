@@ -45,6 +45,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
+    def print_help(self, file=None):
+        # argparse's own writer swallows OSError, which hides a closed stdout pipe
+        (file or sys.stdout).write(self.format_help())
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -240,11 +244,11 @@ def _stdout_to_devnull() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        rc = _COMMANDS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+            rc = _COMMANDS[args.command](args)
+        except SystemExit as exc:  # --help, or a refused command line
+            rc = int(exc.code or 0)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return rc
     except BrokenPipeError:

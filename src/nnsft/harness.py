@@ -175,8 +175,7 @@ def sample_admissible_stack(
     window of the stack, and one vectorized test checks them all for
     forbidden pairs. A lone window takes no batch axis, which would make
     its sweep a quarter slower. The draws are freed once the windows are
-    placed and the stack on return: each window is a contiguous int64
-    copy.
+    placed and the stack on return: each window is a contiguous byte copy.
 
     Stacks of more than WINDOW_SITE_GUARD sites in all are refused
     before anything is allocated.
@@ -202,11 +201,7 @@ def sample_admissible_stack(
     ):
         if _pair_table_hits(forbidden, first, second):
             raise RuntimeError("sampler produced an inadmissible window")
-    # contiguous int64 copies: later passes over a strided view cost memory
-    return [
-        Window(Rect.centered(radius), grid[side:0:-1, 1:].astype(np.int64, order="C"), _copy=False)
-        for grid in grids
-    ]
+    return [Window(Rect.centered(radius), grid[side:0:-1, 1:]) for grid in grids]
 
 
 def _check_stack(sft: NnSft, radius: int, count: int) -> None:
@@ -490,14 +485,13 @@ def _four_states(
     norms, the symbols and the mixed states are built for the band
     alone; the region inflated by one must fit in the windows' domain."""
     rect = corrupted.rect
-    # symbols fit a byte (q <= 64 under SSF), which keeps the mixed states small
-    small = np.min_scalar_type(g.sft.q - 1)
+    # the windows hold one byte a symbol (q <= 64 under SSF), and so do the mixed states
     for band in region.bands(BAND_SITES):
         around = band.inflate(1)
         dist = region_patches(around.norms(), around, band)
         cut = rect.cut(around)
-        before = region_patches(corrupted.array[cut].astype(small), around, band)
-        after = region_patches(repaired.array[cut].astype(small), around, band)
+        before = region_patches(corrupted.array[cut], around, band)
+        after = region_patches(repaired.array[cut], around, band)
         yield band, dist[PATCH_CENTER], _band_states(g, dist, before, after)
 
 

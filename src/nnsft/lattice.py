@@ -2,8 +2,8 @@
 
 Sites are integer pairs (x, y). Rectangles, among them the centered
 boxes [-n, n] x [-n, n], give the shapes; a Window is a dense
-configuration on a rectangle, and a sparse patch is a plain dict from
-sites to symbols.
+configuration on a rectangle in the narrowest integer type (a byte for
+an SSF alphabet), and a sparse patch is a dict from sites to symbols.
 
 An array over a rectangle (a Window's among them) holds site (x, y) at
 row y1 - y, column x - x0, so row 0 is the top row. Rect owns that
@@ -121,8 +121,9 @@ class Rect:
 class Window:
     """A dense configuration on a rectangle: one symbol per site.
 
-    Immutable after construction; the backing array, integer symbols
-    stored as int64, is frozen. Row 0 is the top row (largest y).
+    Immutable after construction; the backing array is frozen, C ordered
+    and of the narrowest integer type that holds the symbols, the one
+    place that type is chosen (uint8 for q <= 64). Row 0 is the top row.
     """
 
     __slots__ = ("rect", "array")
@@ -131,12 +132,14 @@ class Window:
         arr = np.asarray(array)
         if arr.dtype.kind not in "biu":  # bool, signed or unsigned integers
             raise ValueError(f"window symbols must be integers, not {arr.dtype}")
-        arr = arr.astype(np.int64, copy=_copy)
         if arr.shape != (rect.height, rect.width):
             raise ValueError(
                 f"array shape {arr.shape} does not match rectangle "
                 f"{rect.height}x{rect.width}"
             )
+        lo, hi = int(arr.min()), int(arr.max())
+        # a signed type holds hi exactly when it holds -hi - 1
+        arr = arr.astype(np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1)), order="C", copy=_copy)
         arr.flags.writeable = False
         object.__setattr__(self, "rect", rect)
         object.__setattr__(self, "array", arr)
@@ -146,7 +149,7 @@ class Window:
 
     @classmethod
     def filled(cls, rect: Rect, symbol: int) -> "Window":
-        return cls(rect, np.full((rect.height, rect.width), symbol, dtype=np.int64), _copy=False)
+        return cls(rect, np.full((rect.height, rect.width), symbol), _copy=False)
 
     def _index(self, u: Site) -> tuple[int, int]:
         if not self.rect.contains(u):
@@ -158,8 +161,8 @@ class Window:
         return int(self.array[r, c])
 
     def with_patch(self, patch: SparsePatch) -> "Window":
-        """A new window with the patch written over this one."""
-        arr = self.array.copy()
+        """A new window with the patch written over this one; any int64 symbol fits."""
+        arr = self.array.astype(np.int64)
         for u, a in patch.items():
             r, c = self._index(u)
             arr[r, c] = a

@@ -195,7 +195,7 @@ def fill_segment(
     _check_symbols(w, sft)
     rect = w.rect
     flat = [r * rect.width + c for r, c in (rect.cells(*u) for u in sites)]
-    buf = bytearray(w.array.astype(np.uint8, order="C"))
+    buf = bytearray(w.array)  # one byte a symbol: _check_symbols kept them below q <= 64
     _sweep(buf, rect, sft.fill_table, flat, rule, rng)
     return {s: buf[k] for s, k in zip(sites, flat)}
 
@@ -247,10 +247,9 @@ def repair(
     mask = bad_site_mask(w, sft)
     sites, *sweep = _sweep_order(rect, mask, n)
     sizes = np.bincount(sweep[0], minlength=n + 1).tolist()
-    # symbols fit a byte: bad_site_mask checked they are below q <= 64
-    buf = bytearray(w.array.astype(np.uint8, order="C"))
+    buf = bytearray(w.array)  # one byte a symbol: bad_site_mask checked they are below q <= 64
     _sweep(buf, rect, sft.fill_table, sites.tolist(), rule, rng)
-    # converting to int64 copies, so the window shares no memory with buf
+    # the output window wraps buf, which nothing else holds
     out = Window(rect, np.frombuffer(buf, np.uint8).reshape(mask.shape), _copy=False)
     return RepairResult(out, sizes, tuple(sweep))
 

@@ -474,12 +474,14 @@ def test_main_in_process_exit_codes(capsys):
 @pytest.mark.parametrize(
     "args",
     [("entropy", "--spec", "hardsquare", "--strip-width", "4"),
-     ("verify", "--spec", "hardsquare", "--size", "8", "--trials", "2")],
-    ids=["entropy", "verify"],
+     ("verify", "--spec", "hardsquare", "--size", "8", "--trials", "2"),
+     ("--help",)],
+    ids=["entropy", "verify", "help"],
 )
 def test_closed_stdout_pipe_exits_141_silently(args, unbuffered):
     # the reader is gone before the first line; a print fails unbuffered,
-    # the flush before main returns fails buffered
+    # the flush before main returns fails buffered (argparse prints the
+    # help inside parse_args, and its own writer would swallow the error)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nnsft.entropy import (
     strip_entropy,
 )
 from nnsft.cli import main
-from nnsft.sft import NnSft, checkerboard, full_shift, hard_square, parse_sft
+from nnsft.sft import NnSft, checkerboard, full_shift, hard_square, load_sft, parse_sft
 
 from _util import random_ssf_sfts, reference_strip_entropy, reference_strip_matvec
 
@@ -139,6 +140,10 @@ def test_transitions_match_dense_oracle():
         (hard_square(), 3),
         (checkerboard(3), 3),
         (NnSft(3, frozenset({(0, 1), (2, 2)}), frozenset({(1, 0)})), 4),
+        # q = 18 and q = 25 at m = 2, where BLAS sums a masked-tensor gemm
+        # in another order than the strip matvec's
+        _large_alphabet_sft(11),
+        _large_alphabet_sft(38),
     )
     for sft, m in cases:
         transfer = StripTransfer.build(sft, m)
@@ -156,6 +161,9 @@ def test_transitions_match_dense_oracle():
         rng = np.random.default_rng(71)
         vec = rng.random(len(cols))
         assert transfer.matvec(vec) == pytest.approx(dense @ vec, abs=1e-12)
+        # integer sums below 2**53 are exact in any order
+        vec = rng.integers(0, 1000, len(cols)).astype(float)
+        assert transfer.matvec(vec).tolist() == (dense @ vec).tolist()
 
 
 def test_empty_subshift_errors():
@@ -230,6 +238,39 @@ def test_strip_values_bound_the_entropy():
     assert values[-1] - HARD_SQUARE_ENTROPY < 3.5e-3
     for m in (1, 7, 20):
         assert strip_entropy(full_shift(2), m).value == pytest.approx(math.log(2), abs=1e-12)
+
+
+# Known entropies, each a lower bound on every strip value (rounded down
+# where not computed): proper 3-colourings, checkerboard:3, in bijection
+# with square ice, (3/2) log(4/3) (Lieb, Phys. Rev. 162, 1967); domino
+# tilings, G/pi with Catalan's constant G (Kasteleyn, Physica 27, 1961);
+# the hard square (Baxter, Enting & Tsang, J. Stat. Phys. 22, 1980).
+CATALAN = 0.915965594177219
+DOMINOES = Path(__file__).with_name("dominoes.sft")
+
+
+def test_dominoes_spec_is_the_domino_rule():
+    # each symbol names the side of its partner: 0 up, 1 down, 2 left, 3 right
+    sft = load_sft(str(DOMINOES))
+    pairs = list(itertools.product(range(4), repeat=2))
+    assert sft.q == 4 and not sft.ssf.ok
+    assert sft.hforbid == {(a, b) for a, b in pairs if (a == 3) != (b == 2)}
+    assert sft.vforbid == {(a, b) for a, b in pairs if (a == 0) != (b == 1)}
+
+
+@pytest.mark.parametrize(
+    "spec, known, widths, table",
+    [("checkerboard:3", 1.5 * math.log(4 / 3), range(2, 13),
+      {4: 0.4855, 6: 0.4661, 8: 0.4569, 10: 0.4516, 12: 0.4481}),
+     (str(DOMINOES), CATALAN / math.pi, range(2, 9), {4: 0.4321, 6: 0.3838, 8: 0.3602}),
+     ("hardsquare", HARD_SQUARE_ENTROPY, range(1, 13), {6: 0.4187, 8: 0.4159, 10: 0.4142})],
+    ids=["checkerboard3", "dominoes", "hardsquare"],
+)
+def test_strip_values_lie_above_known_entropies(spec, known, widths, table):
+    values = {m: strip_entropy(load_sft(spec), m).value for m in widths}
+    assert all(value > known for value in values.values())
+    # the strip values, to four places, that the literature's are compared with
+    assert {m: round(values[m], 4) for m in table} == table
 
 
 # ---------------------------------------------------------------------------

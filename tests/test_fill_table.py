@@ -106,7 +106,7 @@ def test_stacked_sweep_matches_raster_reference(k, radius, seeds):
     for w, rng, seed in zip(got, rngs, seeds):
         alone = np.random.default_rng(seed)
         assert w == reference_sample_admissible(sft, radius, alone)
-        assert w.array.flags.c_contiguous and w.array.dtype == np.int64
+        assert w.array.flags.c_contiguous and w.array.dtype == np.uint8
         assert rng.random() == alone.random()
 
 

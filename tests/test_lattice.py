@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnsft import lattice
+from nnsft.harness import corrupt, sample_admissible, sample_admissible_stack
 from nnsft.lattice import Rect, Window, metric_exact, parse_window, render_window
+from nnsft.repair import repair
+from nnsft.sft import checkerboard
 
 from _util import random_window, rect_sites, reference_parse_window, reference_render_window, window_from_rows
 
@@ -99,7 +102,55 @@ def test_window_refuses_symbols_that_are_not_integers():
             Window(rect, arr)
     for arr in ([[1, 2]], np.array([[1, 2]], dtype=np.uint8), np.array([[True, False]])):
         w = Window(rect, arr)
-        assert w.array.dtype == np.int64 and w.array.tolist() == [[int(a) for a in np.ravel(arr)]]
+        assert w.array.dtype == np.uint8 and w.array.tolist() == [[int(a) for a in np.ravel(arr)]]
+
+
+def _sampled(seed: int = 0) -> Window:
+    # the widest SSF alphabet: symbols 0..63
+    return sample_admissible(checkerboard(64), 4, np.random.default_rng(seed))
+
+
+def _corrupted() -> Window:
+    return corrupt(_sampled(), 64, 0.5, np.random.default_rng(1))
+
+
+# each window producer, and the symbol type its window is stored in
+PRODUCERS = {
+    "sample_admissible": (_sampled, np.uint8),
+    "sample_admissible_stack": (
+        lambda: sample_admissible_stack(checkerboard(64), 4, [np.random.default_rng(s) for s in (0, 1)])[1],
+        np.uint8,
+    ),
+    "corrupt": (_corrupted, np.uint8),
+    "repair": (lambda: repair(_corrupted(), checkerboard(64), 3).window, np.uint8),
+    "parse_window": (lambda: parse_window(render_window(_sampled())), np.uint8),
+    "filled": (lambda: Window.filled(Rect.centered(2), 63), np.uint8),
+    "with_patch": (lambda: _sampled().with_patch({(0, 0): 63, (1, 0): 0}), np.uint8),
+    "parse_window 300": (lambda: parse_window("window 0 0 2 1\n300 7\n"), np.uint16),
+    "filled 300": (lambda: Window.filled(Rect.centered(2), 300), np.uint16),
+    "with_patch 300": (lambda: _sampled().with_patch({(0, 0): 300}), np.uint16),
+    "negative": (lambda: Window(Rect(0, 0, 2, 1), np.array([[-1, 63]])), np.int8),
+    "filled -1": (lambda: Window.filled(Rect.centered(2), -1), np.int8),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_window_stores_the_narrowest_symbol_type(name):
+    # a byte per symbol on every SSF alphabet, and a type that holds the
+    # symbols otherwise; always C ordered and frozen
+    make, kind = PRODUCERS[name]
+    w = make()
+    assert w.array.dtype == kind
+    assert w.array.flags.c_contiguous and not w.array.flags.writeable
+
+
+def test_patching_a_wide_symbol_into_a_byte_window():
+    w = _sampled()
+    wide = w.with_patch({(0, 0): 300, (1, 0): -2})
+    expected = w.array.astype(int)
+    expected[4, 4:6] = 300, -2  # sites (0, 0) and (1, 0) of the box of radius 4
+    assert wide.array.dtype == np.int16 and wide.array.tolist() == expected.tolist()
+    assert w.array.dtype == np.uint8
 
 
 def test_window_immutable_and_patch():
