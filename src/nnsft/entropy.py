@@ -13,17 +13,26 @@ touched: after j contractions the partial product is a 2-D array whose
 rows are the vertically admissible prefixes of length j (new symbols)
 and whose columns are the admissible suffixes of length m - j (old
 symbols), both in lexicographic order. Every step is one `np.dot` of
-the q x q compatibility table with a (q, prefixes x suffixes) operand,
-gathered into buffers the transfer reuses, so after its first call a
-matvec allocates only its result (and numpy's transient intp copies of
-the int32 index tables). The dot is kept whole: BLAS can sum a column
-in another order when the matrix around it has another width, and a
-broadcast `np.matmul` or a dot over column chunks moves the last bit
-of some strips with q in the tens or hundreds (full:300 at m = 2 is
+the q x q compatibility table with a (q, prefixes x suffixes) operand.
+Two buffers the transfer reuses swap roles at each position: the
+operand is gathered from the stage in one buffer into the other, the
+product overwrites the stage, and the next stage is picked from it into
+the other buffer. So after its first call a matvec into a given array
+allocates only numpy's transient intp copies of the int32 index
+tables. The dot is kept whole: BLAS can sum a column in another order
+when the matrix around it has another width, and a broadcast
+`np.matmul` or a dot over column chunks moves the last bit of some
+strips with q in the tens or hundreds (full:300 at m = 2 is
 one). The full q**m tensor's dots have other widths too; they agree to
 the bit at the alphabets the tests compare with it, but not at every q.
 Power iteration runs on I + T so periodic transition structure cannot
 stall convergence; lambda_max(T) is recovered by subtracting one.
+
+Each iteration's two sums are the ones numpy gives over a zero-filled
+array of all q**m columns, grouped as on the full tensor, but no such
+array is held: PaddedSum follows numpy's pairwise summation tree and
+sums only its nodes that hold states, so memory is bounded by the
+states, not by q**m.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import numpy as np
 from .sft import STATE_ENUM_GUARD, NnSft
 
 MAX_STRIP_WIDTH = 64
+CHUNK = 2**14  # sites of the largest node PaddedSum sums in its buffer; >= numpy's 128-value leaf
 TOL_FLOOR = 2.0**-52  # machine epsilon: the relative rounding floor of the residual
 
 
@@ -113,42 +123,94 @@ class StripTransfer:
         return cls(sft, m, words[m], tuple(steps), h_ok)
 
     @cached_property
-    def _buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat operand, product and stage buffers, each sized for the
-        largest position it serves."""
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat buffers, each sized for the largest block or stage."""
         q = self.sft.q
-        block, stage, prefixes = 0, self.state_count + 1, 1
+        size, prefixes = self.state_count + 1, 1
         for cols, rows in self.steps:
-            block = max(block, q * prefixes * cols.shape[1])
+            size = max(size, q * prefixes * cols.shape[1])
             prefixes = len(rows)
-            stage = max(stage, prefixes * cols.shape[1])
-        return np.empty(block), np.empty(block), np.empty(stage)
+            size = max(size, prefixes * cols.shape[1])
+        return np.empty(size), np.empty(size)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """T @ v for a vector over the states in lexicographic order.
 
         Works in buffers reused from call to call, so one transfer must
-        not run two matvecs at once; the result is a fresh array."""
-        operand, product, stage = self._buffers
+        not run two matvecs at once; the result is written to out, or to
+        a fresh array when out is None."""
+        a, b = self._buffers
         q = self.sft.q
-        stage[: len(v)] = v
-        stage[len(v)] = 0.0
+        a[: len(v)] = v
+        a[len(v)] = 0.0
         prefixes, width = 1, len(v) + 1
         for cols, rows in self.steps:
-            src = stage[: prefixes * width].reshape(prefixes, width)
+            stage = a[: prefixes * width].reshape(prefixes, width)
             n = prefixes * cols.shape[1]
-            gathered = operand[: q * n].reshape(q, n)
-            for b in range(q):
+            gathered = b[: q * n].reshape(q, n)
+            for s in range(q):
                 # every index is in range; mode="clip" lets take write
                 # straight into out, where "raise" would buffer it
-                np.take(src, cols[b], axis=1, out=gathered[b].reshape(prefixes, -1), mode="clip")
-            block = product[: q * n].reshape(q, n)
+                np.take(stage, cols[s], axis=1, out=gathered[s].reshape(prefixes, -1), mode="clip")
+            # the gather has read the stage, so the product may overwrite it
+            block = a[: q * n].reshape(q, n)
             np.dot(self.h_ok, gathered, out=block)
-            # the gather has read the stage, so the pick may overwrite it
             prefixes, width = len(rows), cols.shape[1]
             np.take(block.reshape(-1, width), rows, axis=0,
-                    out=stage[: prefixes * width].reshape(prefixes, width), mode="clip")
-        return stage[: prefixes * width : width].copy()
+                    out=b[: prefixes * width].reshape(prefixes, width), mode="clip")
+            a, b = b, a
+        result = a[: prefixes * width : width]
+        if out is None:
+            return result.copy()
+        out[...] = result
+        return out
+
+
+class PaddedSum:
+    """np.sum of n float64 zeros with values written at sorted codes,
+    without the n zeros.
+
+    numpy's pairwise summation splits n > 128 contiguous values at
+    h = n//2 - (n//2) % 8 and adds the two halves' sums, recursively;
+    every node of that tree sums to np.sum of its slice. The nodes of at
+    most CHUNK sites whose parent is larger are the leaves here: each is
+    summed with np.sum in one zeroed buffer, and the leaf sums are added
+    up the tree. Empty subtrees are dropped, so every summand must be
+    >= 0: then adding their +0.0 changes nothing.
+    """
+
+    def __init__(self, codes: np.ndarray, n: int):
+        self._codes = codes
+        self._buffer = np.zeros(min(n, CHUNK))
+        self._tree = self._node(0, n, 0, len(codes))
+
+    def _node(self, lo: int, n: int, start: int, stop: int):
+        """The subtree over sites lo..lo+n-1, whose codes are
+        codes[start:stop]: None when empty, (start, stop, lo, n) for a
+        leaf, else the pair of its nonempty children, or the only one."""
+        if start == stop:
+            return None
+        if n <= CHUNK:
+            return start, stop, lo, n
+        h = n // 2 - n // 2 % 8
+        mid = start + int(np.searchsorted(self._codes[start:stop], lo + h))
+        left = self._node(lo, h, start, mid)
+        right = self._node(lo + h, n - h, mid, stop)
+        return left if right is None else right if left is None else (left, right)
+
+    def __call__(self, values: np.ndarray) -> float:
+        """The sum for values[i] at codes[i]."""
+        return 0.0 if self._tree is None else self._sum(self._tree, values)
+
+    def _sum(self, node, values: np.ndarray) -> float:
+        if len(node) == 2:
+            return self._sum(node[0], values) + self._sum(node[1], values)
+        start, stop, lo, n = node
+        at = np.subtract(self._codes[start:stop], lo, dtype=np.intp)  # positions in the leaf
+        self._buffer[at] = values[start:stop]
+        total = float(self._buffer[:n].sum())
+        self._buffer[at] = 0.0
+        return total
 
 
 @dataclass(frozen=True)
@@ -171,9 +233,10 @@ def strip_entropy(
     cannot certify and raises ConvergenceError rather than returning an
     uncertified value.
 
-    The sums run over a zero-filled array of all q**m columns, so numpy's
-    pairwise summation groups them exactly as it would on the full
-    tensor.
+    Each sum is numpy's sum over a zero-filled array of all q**m
+    columns, grouped exactly as on the full tensor, taken by PaddedSum
+    without that array; after the first iteration only transient index
+    arrays are allocated.
 
     Raises EmptySubshiftError when no column is admissible or no column
     can be followed forever (T is nilpotent: lambda_max = 0, entropy
@@ -194,23 +257,20 @@ def strip_entropy(
     transfer = StripTransfer.build(sft, m)
     if transfer.state_count == 0:
         raise EmptySubshiftError("empty subshift: no vertically admissible column")
-    codes = transfer.codes
-    scratch = np.zeros(sft.q**m)
+    total = PaddedSum(transfer.codes, sft.q**m)
     v = np.ones(transfer.state_count)
     v /= transfer.state_count
-    tmp = np.empty_like(v)
+    w = np.empty_like(v)
     for iterations in range(1, max_iter + 1):
-        w = transfer.matvec(v)
+        transfer.matvec(v, out=w)
         w += v  # iterate I + T; keeps periodic T convergent
         # v starts uniform, so w > v exactly at the columns with a successor
         if iterations == 1 and not (w > v).all():
             _require_cycle(transfer, w > v, max_iter)
-        scratch[codes] = w
-        s = float(scratch.sum())  # = L1 norm: w is nonnegative and v is normalized
-        np.multiply(v, s, out=tmp)
-        np.subtract(w, tmp, out=tmp)
-        scratch[codes] = np.abs(tmp, out=tmp)
-        residual = float(scratch.sum())
+        s = total(w)  # = L1 norm: w is nonnegative and v is normalized
+        v *= s
+        np.subtract(w, v, out=v)
+        residual = total(np.abs(v, out=v))
         np.divide(w, s, out=v)
         if residual <= tol * s:
             lam = s - 1.0

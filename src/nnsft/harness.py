@@ -263,8 +263,11 @@ def corrupt(w: Window, q: int, rate: float, rng: np.random.Generator) -> Window:
     given probability (a resampled site may keep its value)."""
     _check_corrupt_rate(rate)
     hit = rng.random(w.array.shape) < rate
-    draws = rng.integers(0, q, size=w.array.shape)
-    return Window(w.rect, np.where(hit, draws, w.array), _copy=False)
+    draws = rng.integers(0, q, size=w.array.shape)  # int64: a narrower type draws another stream
+    # the copy's type holds both the window's symbols and every draw
+    out = w.array.astype(np.result_type(w.array, np.min_scalar_type(q - 1)))
+    np.copyto(out, draws, casting="unsafe", where=hit)
+    return Window(w.rect, out, _copy=False)
 
 
 @dataclass(frozen=True)
@@ -379,9 +382,10 @@ def check_shell_gaps(
     turn comes.
 
     repaired is repair's output on corrupted with this n; the windows
-    must contain the box of radius n+1. Repair writes each site of shell
-    i once, while it repairs shell i, so the window before shell i is
-    the output at Chebyshev norms < i and the input elsewhere. At a site
+    must contain the box of radius n+1 and hold symbols below q only.
+    Repair writes each site of shell i once, while it repairs shell i,
+    so the window before shell i is the output at Chebyshev norms < i
+    and the input elsewhere. At a site
     of norm k, whose 3x3 patch spans norms k-1..k+1, g thus takes four
     values: on the input (C), with the patch repaired at norms < k (A)
     and at norms <= k (B), and on the output (R). Shell k-1 gains A - C
@@ -412,6 +416,8 @@ def check_shell_gaps(
     region = Rect.centered(n)
     if not rect.contains_rect(region.inflate(1)):
         raise ValueError("insufficient margin")
+    _check_symbols(corrupted, g.sft)
+    _check_symbols(repaired, g.sft)
     side = region.width
     ends_h = [np.empty((side, side)) for _ in range(2)]  # C's and R's h
     output_bad = 0

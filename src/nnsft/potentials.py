@@ -50,7 +50,7 @@ from math import inf
 import numpy as np
 
 from .lattice import Rect, Site, Window, metric_exact
-from .sft import NnSft
+from .sft import NnSft, _check_symbols
 
 # 3x3 patch offsets (dx, dy) in documented order: row-major, top row first
 PATCH_OFFSETS: tuple[Site, ...] = (
@@ -155,8 +155,8 @@ class PerturbedPotential:
     def patch_parts(self, patch: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """(bad, h) at sites given by their 3x3 patches: patch holds nine
         symbol arrays of one shape, in PATCH_OFFSETS order, and the two
-        results have that shape. bad is the bad-site indicator, from the
-        forbidden-pair tables; h is the perturbation, looked up by 3x3
+        results have that shape. bad is the bad-site indicator, from
+        NnSft.bad's flat table; h is the perturbation, looked up by 3x3
         pattern code. Only the sites whose code passes _code_filter can
         hold a stored pattern; those alone are searched for among the
         sorted codes, and every other site gets h = 0.
@@ -189,8 +189,10 @@ class PerturbedPotential:
         """patch_parts at the sites (xs, ys) of w, two arrays of their
         broadcast shape.
 
-        Every site's 3x3 patch must be stored.
+        Every site's 3x3 patch must be stored, and every symbol of w be
+        below q (SymbolRangeError otherwise).
         """
+        _check_symbols(w, self.sft)
         rect, flat = w.rect, w.array.ravel()
         r, c = rect.cells(np.asarray(xs), np.asarray(ys))
         if r.size and c.size and (
@@ -274,9 +276,11 @@ def birkhoff_sum(g: PerturbedPotential, w: Window, region: Rect) -> float:
     """Sum of g over every site of the region.
 
     The region inflated by one must fit in the window domain, so every
-    summand has its full 3x3 patch stored. The sum is minus the bad
-    count plus the numpy sum of h in row-major order, top row first.
+    summand has its full 3x3 patch stored, and every symbol of w must be
+    below q. The sum is minus the bad count plus the numpy sum of h in
+    row-major order, top row first.
     """
+    _check_symbols(w, g.sft)
     bad, h = g.patch_parts(region_patches(w.array, w.rect, region))
     return g.sum_parts(int(np.count_nonzero(bad)), h)
 

@@ -42,6 +42,9 @@ Pair = tuple[int, int]
 # the widest alphabet: pick_table stores the masks as uint64, and repair's
 # windows hold one symbol per byte
 SSF_BRUTE_FORCE_LIMIT = 64
+# the widest alphabet of NnSft.bad's q**3 table (2 MiB); 3x3 pattern codes
+# fit an int64 only up to the same q
+BAD_TABLE_LIMIT = 128
 STATE_ENUM_GUARD = 2_000_000  # strip states entropy may enumerate; load_sft refuses past it
 
 # rows of NnSft.fill_table, in the order of an SSF witness
@@ -76,9 +79,28 @@ class NnSft:
         """Boolean q x q table; [a, b] is True when a-below-b is forbidden."""
         return _pair_table(self.q, self.vforbid)
 
+    @cached_property
+    def bad_table(self) -> np.ndarray:
+        """Flat boolean table of q**3 entries; entry (center*q + right)*q + up
+        is True when (center, right) or (center, up) is forbidden."""
+        if self.q > BAD_TABLE_LIMIT:
+            raise ValueError(f"alphabet too large for a bad-site table (q > {BAD_TABLE_LIMIT})")
+        t = (self.h_table[:, :, None] | self.v_table[:, None, :]).ravel()
+        t.flags.writeable = False
+        return t
+
     def bad(self, center: np.ndarray, right: np.ndarray, up: np.ndarray) -> np.ndarray:
-        """Whether the pair (center, right) or (center, up) is forbidden."""
-        return self.h_table[center, right] | self.v_table[center, up]
+        """Whether the pair (center, right) or (center, up) is forbidden,
+        for symbol arrays of one shape. Every symbol must be below q, which
+        callers check: a larger one can land on another entry unseen."""
+        import numpy as np
+
+        at = center.astype(np.intp)
+        at *= self.q
+        at += right
+        at *= self.q
+        at += up
+        return self.bad_table.take(at)
 
     @cached_property
     def fill_table(self) -> tuple[tuple[int, ...], ...]:

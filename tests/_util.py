@@ -523,13 +523,17 @@ def reference_strip_entropy(
     raise ConvergenceError(f"power iteration did not certify convergence in {max_iter} steps")
 
 
-def reference_strip_matvec(transfer: StripTransfer, v: np.ndarray) -> np.ndarray:
+def reference_strip_matvec(transfer: StripTransfer, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """StripTransfer.matvec with fresh arrays at every position: fancy
     indexing gathers the stage's columns and np.tensordot contracts
     them. Its dot has the operands and shape of the reused-buffer
-    kernel's, so the two agree to the bit at any alphabet."""
+    kernel's, so the two agree to the bit at any alphabet. Like the
+    kernel, it writes the result to out when one is given."""
     stage = np.append(v, 0.0)[None, :]
     for cols, rows in transfer.steps:
         block = np.tensordot(transfer.h_ok, stage[:, cols], axes=([1], [1]))
         stage = block.reshape(-1, block.shape[2])[rows]
-    return stage[:, 0]
+    if out is None:
+        return stage[:, 0]
+    out[...] = stage[:, 0]
+    return out

@@ -11,10 +11,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nnsft.entropy import (
+    CHUNK,
     MAX_STRIP_WIDTH,
     TOL_FLOOR,
     ConvergenceError,
     EmptySubshiftError,
+    PaddedSum,
     StripTransfer,
     strip_entropy,
 )
@@ -370,3 +372,77 @@ def test_matvec_allocates_only_its_result():
     # a fresh array: writing into it leaves the next result alone
     second[:] = -1.0
     assert transfer.matvec(v).tolist() == first.tolist()
+
+
+def test_matvec_into_out_allocates_only_index_copies():
+    transfer = StripTransfer.build(checkerboard(5), 8)
+    v = np.random.default_rng(73).random(transfer.state_count)
+    expected = transfer.matvec(v)
+    w = np.empty_like(v)
+    # each take copies one int32 index table to intp and frees the copy
+    # before the next take
+    index_copy = max(max(cols.shape[1], len(rows)) for cols, rows in transfer.steps) * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        got = transfer.matvec(v, out=w)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got is w
+    assert kept <= 1024
+    assert peak <= index_copy + 64 * 1024
+    assert w.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("sft, m, bound_mb", [(checkerboard(5), 8, 8), (hard_square(), 20, 3)])
+def test_strip_entropy_memory_is_bounded_by_its_states(sft, m, bound_mb):
+    # q**m = 390,625 and 1,048,576 columns: a zero-filled float array over
+    # them alone would take 3.1 and 8.4 MB
+    first = strip_entropy(sft, m)
+    tracemalloc.start()
+    try:
+        second = strip_entropy(sft, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 10**6
+    assert second == first
+
+
+def _padded_sum_case(n: int, density: float, clustered: bool, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted int32 codes below n, spread over all of 0..n-1 or inside one
+    random interval of it, and nonnegative values spanning 24 decades,
+    some of them zero."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(rng.integers(0, n + 1, size=2)) if clustered else (0, n)
+    codes = (lo + np.flatnonzero(rng.random(hi - lo) < density)).astype(np.int32)
+    values = rng.random(len(codes)) * 10.0 ** rng.integers(-12, 12, size=len(codes))
+    values[rng.random(len(codes)) < 0.05] = 0.0
+    return codes, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 3 * CHUNK),
+        st.sampled_from([CHUNK - 1, CHUNK + 1, 2 * CHUNK + 8, 390_625, 2**20]),
+    ),
+    density=st.sampled_from([0.0, 1e-4, 0.01, 0.5, 1.0]),
+    clustered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=CHUNK - 1, density=1.0, clustered=False, seed=0)
+@example(n=CHUNK + 1, density=0.5, clustered=False, seed=1)
+@example(n=2 * CHUNK + 8, density=0.5, clustered=True, seed=2)
+@example(n=390_625, density=0.2, clustered=False, seed=3)
+@example(n=2**20, density=0.02, clustered=False, seed=4)
+def test_padded_sum_matches_the_zero_padded_numpy_sum(n, density, clustered, seed):
+    # PaddedSum assumes numpy's pairwise summation tree; a numpy that
+    # splits or blocks its sums otherwise fails here
+    codes, values = _padded_sum_case(n, density, clustered, seed)
+    padded = np.zeros(n)
+    padded[codes] = values
+    total = PaddedSum(codes, n)
+    assert total(values).hex() == float(padded.sum()).hex()
+    # the buffer is zeroed again after each sum
+    assert total(values).hex() == float(padded.sum()).hex()

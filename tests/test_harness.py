@@ -30,7 +30,7 @@ from nnsft.harness import (
 from nnsft.lattice import Rect, Window, render_window
 from nnsft.potentials import PerturbedPotential, RangeOnePerturbation, birkhoff_sum, sample_perturbation
 from nnsft.repair import RepairResult, repair
-from nnsft.sft import NnSft, bad_site_mask, bad_sites, checkerboard, full_shift, hard_square
+from nnsft.sft import NnSft, SymbolRangeError, bad_site_mask, bad_sites, checkerboard, full_shift, hard_square
 
 from _util import (
     forbidden_pairs,
@@ -193,6 +193,48 @@ def test_corrupt():
     assert bad_sites(full, HS).sites == pair_scan_bad_sites(full, HS)
     with pytest.raises(ValueError):
         corrupt(w, 2, -0.1, rng)
+
+
+def test_corrupt_widens_a_byte_window_for_a_wide_alphabet():
+    w = sample_admissible(HS, 8, np.random.default_rng(3))
+    assert w.array.dtype == np.uint8
+    out = corrupt(w, 300, 0.5, np.random.default_rng(4))
+    # the same random stream as np.where(hit, draws, w.array) over int64 draws
+    rng = np.random.default_rng(4)
+    hit = rng.random(w.array.shape) < 0.5
+    draws = rng.integers(0, 300, size=w.array.shape)
+    assert out.array.dtype == np.uint16
+    assert np.array_equal(out.array, np.where(hit, draws, w.array))
+
+
+def test_symbols_past_the_alphabet_are_refused_where_g_is_evaluated():
+    # symbol 2 sits only above the box of radius 1, as the up neighbor of
+    # (0, 1): NnSft.bad's flat table would read another entry for it
+    g = PerturbedPotential.build(HS, RangeOnePerturbation({}, 1.0))
+    a = np.zeros((5, 5), dtype=np.int64)
+    a[0, 2] = 2
+    w = Window(Rect.centered(2), a)
+    for evaluate in (
+        lambda: birkhoff_sum(g, w, Rect.centered(1)),
+        lambda: g.value(w, 0, 1),
+        lambda: check_shell_gaps(g, w, w, 1),
+    ):
+        with pytest.raises(SymbolRangeError, match=r"symbol 2 at \(0, 2\)"):
+            evaluate()
+
+
+def test_corrupt_keeps_one_int64_array_of_draws():
+    w = sample_admissible(checkerboard(5), 384, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        out = corrupt(w, 5, 0.3, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 draws, the hit mask and the byte copy: 10 bytes a site; an
+    # int64 result next to the draws made it 18
+    assert peak < 12 * w.array.size
+    assert out.array.dtype == np.uint8
 
 
 def test_average_bounds_zero_branch():

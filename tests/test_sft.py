@@ -61,6 +61,22 @@ def test_bad_sites_matches_pair_scan_oracle():
             assert bad_sites(w, sft).sites == pair_scan_bad_sites(w, sft)
 
 
+def test_bad_site_mask_on_byte_windows_at_the_widest_table():
+    # (center*q + right)*q + up runs to q**3 - 1 = 262,143 at q = 128, far
+    # past a byte: the flat lookup must form it in intp
+    rng = np.random.default_rng(42)
+    pairs = [frozenset(map(tuple, np.argwhere(rng.random((128, 128)) < 0.3).tolist())) for _ in range(2)]
+    sft = NnSft(128, *pairs)
+    w = random_window(Rect.centered(20), 128, rng)
+    assert w.array.dtype == np.uint8
+    assert bad_sites(w, sft).sites == pair_scan_bad_sites(w, sft)
+    c, r, u = w.array[1:, :-1], w.array[1:, 1:], w.array[:-1, :-1]
+    assert np.array_equal(sft.bad(c, r, u), sft.h_table[c, r] | sft.v_table[c, u])
+    # a table of q**3 entries is refused past q = 128, before it is built
+    with pytest.raises(ValueError, match="too large for a bad-site table"):
+        bad_site_mask(Window.filled(Rect.centered(1), 0), full_shift(129))
+
+
 def test_penalty_at():
     # the penalty is the zero-perturbation potential: -1 at a bad site, 0 elsewhere
     g = PerturbedPotential.build(hard_square(), RangeOnePerturbation({}, 1.0))
