@@ -69,7 +69,8 @@ class StripTransfer:
     trailing slot to stage j's zero column; `rows` picks the admissible
     (prefix, a) rows of the contracted block, in lexicographic order.
     Every table entry is below q**max(m, 2) <= STATE_ENUM_GUARD < 2**31,
-    so the tables are int32.
+    so the tables are int32; `build` forms them in int32 as it goes and
+    frees each temporary once used (only `searchsorted` gives intp).
     """
 
     sft: NnSft
@@ -98,27 +99,29 @@ class StripTransfer:
         # words[k]: codes of the admissible columns of height k, sorted;
         # a prefix and a suffix of height k range over the same words
         words = [np.zeros(1, dtype=np.int32)]
-        extensions = []  # (word index, appended symbol) per height
+        rows = []  # the admissible (prefix, a) rows of each height's block
         for k in range(1, m + 1):
             prev = words[-1]
             ext = np.ones((1, q), dtype=bool) if k == 1 else v_ok[prev % q]
-            i, a = np.nonzero(ext)
-            extensions.append((i, a))
-            words.append((prev[i] * q + a).astype(np.int32))
+            i, a = (x.astype(np.int32) for x in np.nonzero(ext))
+            words.append(prev[i] * np.int32(q) + a)
+            rows.append(a * np.int32(len(prev)) + i)
+            del ext, i, a
         steps = []
         for j in range(m if len(words[m]) else 0):
             top, rest = words[m - j], words[m - j - 1]
-            cand = np.arange(q)[:, None] * q ** (m - j - 1) + rest[None, :]
-            pos = np.minimum(np.searchsorted(top, cand), len(top) - 1)
-            cols = np.where(top[pos] == cand, pos, len(top))
-            if m > 1:
-                # the trailing slot becomes the next stage's zero column and
-                # keeps every product matrix-matrix, as on the q**m tensor;
-                # at m = 1 both are matrix-vector, which numpy sums in
-                # another order
-                cols = np.concatenate([cols, np.full((q, 1), len(top))], axis=1)
-            i, a = extensions[j]
-            steps.append((cols.astype(np.int32), (a * len(words[j]) + i).astype(np.int32)))
+            cand = np.arange(q, dtype=np.int32)[:, None] * np.int32(q ** (m - j - 1)) + rest
+            pos = np.searchsorted(top, cand)
+            np.minimum(pos, len(top) - 1, out=pos)
+            hit = top[pos] == cand
+            del cand
+            # the trailing slot becomes the next stage's zero column and
+            # keeps every product matrix-matrix, as on the q**m tensor; at
+            # m = 1 both are matrix-vector, which numpy sums in another order
+            cols = np.full((q, len(rest) + (m > 1)), len(top), dtype=np.int32)
+            np.copyto(cols[:, : len(rest)], pos, where=hit)
+            del pos, hit
+            steps.append((cols, rows[j]))
         h_ok = (~sft.h_table).astype(float)
         return cls(sft, m, words[m], tuple(steps), h_ok)
 

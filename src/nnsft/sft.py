@@ -22,13 +22,15 @@ A safe symbol is a center that works for every boundary, i.e. a symbol
 in no forbidden pair.
 
 Only the functions that build arrays import numpy, so deciding SSF
-(the `check` command) loads none.
+(the `check` command) loads none. NnSft, SsfResult and BadSites are
+written out by hand as frozen value classes, compared, hashed and shown
+as frozen dataclasses are, so `check` loads no `dataclasses` either, nor
+the `inspect`, `ast` and `tokenize` that it imports.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -51,23 +53,54 @@ STATE_ENUM_GUARD = 2_000_000  # strip states entropy may enumerate; load_sft ref
 NORTH, SOUTH, EAST, WEST = range(4)
 
 
-@dataclass(frozen=True)
-class NnSft:
+class _Frozen:
+    """A value whose fields, named in `_fields`, are set once in __init__
+    (with object.__setattr__) and compared, hashed and shown in that
+    order, as a frozen dataclass's are; assigning or deleting an
+    attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NnSft(_Frozen):
     """A nearest-neighbor SFT over symbols 0..q-1."""
 
+    _fields = ("q", "hforbid", "vforbid")
     q: int
-    hforbid: frozenset[Pair] = field(default_factory=frozenset)
-    vforbid: frozenset[Pair] = field(default_factory=frozenset)
+    hforbid: frozenset[Pair]
+    vforbid: frozenset[Pair]
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
+    def __init__(self, q: int, hforbid=frozenset(), vforbid=frozenset()) -> None:
+        if q < 1:
             raise ValueError("alphabet size must be >= 1")
-        object.__setattr__(self, "hforbid", frozenset(self.hforbid))
-        object.__setattr__(self, "vforbid", frozenset(self.vforbid))
-        for name, pairs in (("hforbid", self.hforbid), ("vforbid", self.vforbid)):
+        object.__setattr__(self, "q", q)
+        for name, pairs in (("hforbid", frozenset(hforbid)), ("vforbid", frozenset(vforbid))):
             for a, b in pairs:
-                if not (0 <= a < self.q and 0 <= b < self.q):
-                    raise ValueError(f"{name} pair ({a}, {b}) outside alphabet 0..{self.q - 1}")
+                if not (0 <= a < q and 0 <= b < q):
+                    raise ValueError(f"{name} pair ({a}, {b}) outside alphabet 0..{q - 1}")
+            object.__setattr__(self, name, pairs)
 
     @cached_property
     def h_table(self) -> np.ndarray:
@@ -151,16 +184,23 @@ def _pair_table(q: int, pairs: frozenset[Pair]) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class SsfResult:
+class SsfResult(_Frozen):
+    _fields = ("ok", "witness")
     ok: bool
     # a blocking boundary (north, south, east, west) when ok is False
     witness: tuple[int, int, int, int] | None
 
+    def __init__(self, ok: bool, witness: tuple[int, int, int, int] | None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class BadSites:
+
+class BadSites(_Frozen):
+    _fields = ("sites",)
     sites: frozenset[Site]
+
+    def __init__(self, sites: frozenset[Site]) -> None:
+        object.__setattr__(self, "sites", sites)
 
 
 class SymbolRangeError(ValueError):

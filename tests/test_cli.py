@@ -371,7 +371,7 @@ def test_each_module_imports_as_itself_and_the_package_loads_no_numpy():
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
     # each command imports its modules when it runs: check loads only sft
-    # of the package and no numpy, repair and entropy no harness; nothing
+    # of the package and no numpy or dataclasses, repair and entropy no harness; nothing
     # is timed
     window = tmp_path / "w.txt"
     window.write_text("window -2 -2 5 5\n" + "0 0 0 0 0\n" * 5)
@@ -380,7 +380,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     for args, absent, present in (
         (("check", "--spec", "hardsquare"),
          {"nnsft.harness", "nnsft.potentials", "nnsft.repair", "nnsft.entropy", "nnsft.lattice", "fractions",
-          "numpy"},
+          "numpy", "dataclasses", "inspect"},
          {"nnsft.sft"}),
         (("entropy", "--spec", "hardsquare", "--strip-width", "4"),
          {"nnsft.harness", "nnsft.potentials"}, {"nnsft.entropy"}),
@@ -392,6 +392,29 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert res.returncode == 0, (args, res.stderr)
         loaded = set(res.stdout.splitlines()[-1].split())
         assert not absent & loaded and present <= loaded, (args, absent & loaded, present - loaded)
+
+
+def test_cli_process_freezes_its_objects_only_at_exit():
+    # main has gc.freeze run at exit, registered once however often it
+    # runs; this hook, registered first, runs after it. gc.freeze is
+    # wrapped to count its calls
+    probe = (
+        "import atexit, gc, sys\n"
+        "calls = []\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: (calls.append(1), freeze())\n"
+        "atexit.register(lambda: print('at exit', len(calls), gc.get_freeze_count() > 0))\n"
+        "from nnsft.cli import main\n"
+        "for _ in range(2):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "    print('after main', len(calls), gc.get_freeze_count())\n"
+    )
+    for args in (("check", "--spec", "hardsquare"), ("entropy", "--spec", "hardsquare", "--strip-width", "4")):
+        res = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert [ln for ln in lines if ln.startswith(("after", "at exit"))] == [
+            "after main 0 0", "after main 0 0", "at exit 1 True"], res.stdout
 
 
 def test_verify_rational_epsilon_and_hypothesis_guard():

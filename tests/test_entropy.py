@@ -409,6 +409,23 @@ def test_strip_entropy_memory_is_bounded_by_its_states(sft, m, bound_mb):
     assert second == first
 
 
+def test_strip_transfer_build_memory_stays_near_its_tables():
+    # the transfer holds 1.25 MiB of int32 tables; the build forms them in
+    # int32 and frees each temporary once used (5.31 MiB with intp pairs
+    # kept for every height and int64 temporaries)
+    sft = checkerboard(5)
+    sft.v_table, sft.h_table  # cached on the SFT, outside the build
+    tracemalloc.start()
+    try:
+        transfer = StripTransfer.build(sft, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert transfer.state_count == 81_920
+    assert all(t.dtype == np.int32 for step in transfer.steps for t in step)
+    assert peak < 3 * 2**20
+
+
 def _padded_sum_case(n: int, density: float, clustered: bool, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted int32 codes below n, spread over all of 0..n-1 or inside one
     random interval of it, and nonnegative values spanning 24 decades,

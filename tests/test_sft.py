@@ -5,9 +5,12 @@ import pytest
 
 from nnsft.lattice import Rect, Window
 from nnsft.potentials import PerturbedPotential, RangeOnePerturbation
+import nnsft.sft as sft_module
 from nnsft.sft import (
+    BadSites,
     NnSft,
     SftParseError,
+    SsfResult,
     SymbolRangeError,
     bad_site_mask,
     bad_sites,
@@ -228,6 +231,67 @@ def test_load_sft_builtins(tmp_path):
     assert load_sft(str(path)) == checkerboard(3)
     with pytest.raises(ValueError, match="no such"):
         load_sft("nonsense:spec")
+
+
+def test_nnsft_is_a_frozen_value():
+    # NnSft is written out by hand, not as a dataclass, and keeps a frozen
+    # dataclass's constructor, equality, hash, repr and immutability
+    hs = hard_square()
+    assert NnSft(2, frozenset({(1, 1)}), frozenset({(1, 1)})) == hs
+    assert NnSft(q=2, vforbid=frozenset({(1, 1)}), hforbid=frozenset({(1, 1)})) == hs
+    assert NnSft(2, {(1, 1)}, [(1, 1)]) == hs  # any iterable of pairs, kept as a frozenset
+    one = NnSft(1, vforbid=frozenset({(0, 0)}))
+    assert (one.q, one.hforbid, one.vforbid) == (1, frozenset(), frozenset({(0, 0)}))
+    assert all(type(sft.hforbid) is type(sft.vforbid) is frozenset for sft in (hs, one, NnSft(2, {(1, 1)}, [])))
+    assert repr(hs) == "NnSft(q=2, hforbid=frozenset({(1, 1)}), vforbid=frozenset({(1, 1)}))"
+    assert repr(NnSft(1)) == "NnSft(q=1, hforbid=frozenset(), vforbid=frozenset())"
+
+    text = "alphabet 3\n" + "".join(f"{d}forbid {a} {a}\n" for a in (2, 0, 1) for d in "vh")
+    assert parse_sft(text) == checkerboard(3) and hash(parse_sft(text)) == hash(checkerboard(3))
+    assert len({hs, hard_square(), load_sft("hardsquare")}) == 1
+    for other in (NnSft(3, hs.hforbid, hs.vforbid), NnSft(2, hs.hforbid, frozenset()),
+                  NnSft(2, frozenset({(0, 1)}), hs.vforbid), (2, hs.hforbid, hs.vforbid), "hardsquare", None):
+        assert hs != other and not hs == other
+
+    for name in ("q", "hforbid", "vforbid", "other"):
+        with pytest.raises(AttributeError):
+            setattr(hs, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(hs, name)
+    assert hs == hard_square()
+
+
+def test_nnsft_tables_are_computed_once_per_instance(monkeypatch):
+    calls = []
+
+    def counted_check_ssf(sft):
+        calls.append(sft)
+        return check_ssf(sft)
+
+    monkeypatch.setattr(sft_module, "check_ssf", counted_check_ssf)
+    sft, twin = checkerboard(5), checkerboard(5)
+    assert sft.ssf is sft.ssf and sft.ssf == SsfResult(True, None)
+    assert twin.ssf is twin.ssf
+    assert calls == [sft, twin]
+    assert sft.fill_table is sft.fill_table and sft.bad_table is sft.bad_table
+    assert sft.fill_table == twin.fill_table and sft.bad_table is not twin.bad_table
+    assert sft == twin  # cached tables are not fields
+
+
+def test_ssf_result_and_bad_sites_are_frozen_values():
+    res = SsfResult(False, (0, 1, 1, 0))
+    assert (res.ok, res.witness) == (False, (0, 1, 1, 0))
+    assert res == SsfResult(False, (0, 1, 1, 0)) and hash(res) == hash(SsfResult(False, (0, 1, 1, 0)))
+    assert res != SsfResult(False, (0, 1, 1, 1)) and res != (False, (0, 1, 1, 0))
+    assert repr(res) == "SsfResult(ok=False, witness=(0, 1, 1, 0))"
+    assert check_ssf(hard_square()) == SsfResult(True, None)
+    sites = BadSites(frozenset({(0, 0)}))
+    assert sites.sites == {(0, 0)} and sites == BadSites(frozenset({(0, 0)}))
+    assert sites != BadSites(frozenset()) and sites != frozenset({(0, 0)})
+    assert repr(sites) == "BadSites(sites=frozenset({(0, 0)}))"
+    for value, name in ((res, "ok"), (sites, "sites")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
 
 
 def test_nnsft_validation():
