@@ -6,11 +6,11 @@ a violation is found, 2 on input errors (bad flags, unparsable files),
 Every command is deterministic given its flags; repeated invocations
 produce byte-identical output.
 
-Each command imports the modules it runs when it runs, so `check` loads
-only `sft`, and no numpy or `dataclasses`, and `repair` and `entropy` no
-harness or potentials. `main` has `gc.freeze` run at interpreter exit,
-so the collections of the interpreter's finalization skip every object
-still alive when the command ends (numpy, the package and what `site`
+Each command imports the modules it runs when it runs: `check` only
+`sft` and no numpy, `repair` and `entropy` no harness or potentials,
+none `dataclasses` (the package has one value base). At interpreter
+exit `main` runs `gc.freeze`, so finalization's collections skip every
+object alive when the command ends (numpy, the package and what `site`
 imported); while a command runs, garbage collection is unchanged.
 """
 

@@ -37,13 +37,12 @@ states, not by q**m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf, log
 
 import numpy as np
 
-from .sft import STATE_ENUM_GUARD, NnSft
+from .sft import STATE_ENUM_GUARD, NnSft, _Frozen
 
 MAX_STRIP_WIDTH = 64
 CHUNK = 2**14  # sites of the largest node PaddedSum sums in its buffer; >= numpy's 128-value leaf
@@ -58,8 +57,7 @@ class ConvergenceError(RuntimeError):
     """Power iteration could not certify convergence."""
 
 
-@dataclass(frozen=True)
-class StripTransfer:
+class StripTransfer(_Frozen):
     """Index tables of the width-m column transition relation.
 
     `codes` holds each admissible column as its base-q number, bottom
@@ -216,8 +214,7 @@ class PaddedSum:
         return total
 
 
-@dataclass(frozen=True)
-class StripEntropyResult:
+class StripEntropyResult(_Frozen):
     value: float
     strip_width: int
     states: int

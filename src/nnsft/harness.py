@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +77,7 @@ from .potentials import (
 from .repair import _check_rule_name, repair
 # bad_site_mask is unused here but stays in the namespace: the
 # benchmark's tracer test patches and reads harness.bad_site_mask
-from .sft import NnSft, _check_symbols, bad_site_mask  # noqa: F401
+from .sft import NnSft, _check_symbols, _Frozen, bad_site_mask  # noqa: F401
 
 DEFAULT_EPSILON = 1.0 / 64.0
 DEFAULT_CAP = 1.0 / 384.0
@@ -102,8 +101,7 @@ def trial_seed(master: int, index: int) -> int:
     return master * 1_000_003 + index
 
 
-@dataclass
-class TrialConfig:
+class TrialConfig(_Frozen):
     """Configuration for a batch of verification trials."""
 
     sft: NnSft
@@ -270,8 +268,7 @@ def corrupt(w: Window, q: int, rate: float, rng: np.random.Generator) -> Window:
     return Window(w.rect, out, _copy=False)
 
 
-@dataclass(frozen=True)
-class AverageBoundReport:
+class AverageBoundReport(_Frozen):
     """Normalized windowed sum of g against the density-split bounds.
 
     status: "zero_ok"/"zero_fail" for a window with no bad site in the
@@ -324,8 +321,7 @@ def _average_report(gap: float, bad: int, total: float, area: int) -> AverageBou
     return AverageBoundReport(bf, avg, status, margin)
 
 
-@dataclass(frozen=True)
-class ShellGapRow:
+class ShellGapRow(_Frozen):
     i: int
     size: int               # |S_i|: bad sites of the input window on shell i
     pending: int            # of those, still bad when shell i is repaired
@@ -342,8 +338,7 @@ class ShellGapRow:
         return self.observed - self.required_literal
 
 
-@dataclass(frozen=True)
-class ShellGapReport:
+class ShellGapReport(_Frozen):
     """Observed per-shell improvements against their lower bounds, one
     row per shell 0..n of the box of radius n.
 
@@ -459,15 +454,10 @@ def check_shell_gaps(
     gap = g.gap
     site_coeff = 1.0 - SHELL_SITE_COEFF * gap
     slack = SHELL_SLACK_COEFF * gap
+    # positional: a row per shell and trial, and the base binds keywords more slowly
     rows = tuple(
-        ShellGapRow(
-            i=i,
-            size=size,
-            pending=still,
-            observed=sum(sorted_terms[bounds[i] : bounds[i + 1]], 0.0),
-            required=site_coeff * still - slack,
-            required_literal=site_coeff * size - slack,
-        )
+        ShellGapRow(i, size, still, sum(sorted_terms[bounds[i] : bounds[i + 1]], 0.0),
+                    site_coeff * still - slack, site_coeff * size - slack)
         for i, (size, still) in enumerate(zip(sizes.tolist(), pending.tolist()))
     )
     return ShellGapReport(
@@ -521,8 +511,7 @@ def _count_changed(a: Window, b: Window) -> int:
     return sum(int(np.count_nonzero(a.array[cut] != b.array[cut])) for cut in cuts)
 
 
-@dataclass(frozen=True)
-class TotalBoundReport:
+class TotalBoundReport(_Frozen):
     """Raw and normalized forms of the total improvement bound."""
 
     total_gap: float           # S g(original) - S g(repaired) over the region
@@ -559,8 +548,7 @@ def _total_report(gap: float, bad_total: int, before: float, after: float, n: in
     )
 
 
-@dataclass
-class TrialReport:
+class TrialReport(_Frozen):
     """Everything recorded about one trial; pass flags are pure
     functions of the recorded numbers."""
 

@@ -22,10 +22,11 @@ top row (largest y) first.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .sft import _Frozen
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -39,8 +40,7 @@ SparsePatch = dict[Site, int]
 BAND_SITES = 2**14
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(_Frozen):
     """Axis-aligned rectangle of lattice sites, inclusive of its corners."""
 
     x0: int
@@ -118,7 +118,7 @@ class Rect:
         return self.y1 - ys, xs - self.x0
 
 
-class Window:
+class Window(_Frozen):
     """A dense configuration on a rectangle: one symbol per site.
 
     Immutable after construction; the backing array is frozen, C ordered
@@ -127,6 +127,8 @@ class Window:
     """
 
     __slots__ = ("rect", "array")
+    rect: Rect
+    array: np.ndarray
 
     def __init__(self, rect: Rect, array: np.ndarray, *, _copy: bool = True):
         arr = np.asarray(array)
@@ -141,11 +143,10 @@ class Window:
         # a signed type holds hi exactly when it holds -hi - 1
         arr = arr.astype(np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1)), order="C", copy=_copy)
         arr.flags.writeable = False
-        object.__setattr__(self, "rect", rect)
-        object.__setattr__(self, "array", arr)
+        super().__init__(rect, arr)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Window is immutable")
+    def __reduce__(self):  # a copy or an unpickled window is built anew, its array frozen
+        return Window, (self.rect, self.array)
 
     @classmethod
     def filled(cls, rect: Rect, symbol: int) -> "Window":
@@ -180,8 +181,7 @@ class Window:
         return f"Window({r.x0}, {r.y0}, {r.width}x{r.height})"
 
 
-@dataclass(frozen=True)
-class MetricResult:
+class MetricResult(_Frozen):
     """Distance between two same-domain windows.
 
     exact is the distance 2**-radius as a Fraction when the windows

@@ -43,14 +43,13 @@ and has d(x, y) >= 1/2; hence Lip(h) <= 2*cap / (1/2) = 4*cap and
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
 
 import numpy as np
 
 from .lattice import Rect, Site, Window, metric_exact
-from .sft import NnSft, _check_symbols
+from .sft import NnSft, _check_symbols, _Frozen
 
 # 3x3 patch offsets (dx, dy) in documented order: row-major, top row first
 PATCH_OFFSETS: tuple[Site, ...] = (
@@ -65,16 +64,17 @@ SEMINORM_ENUM_GUARD = 10_000  # certify_norm_gap's switch to the 5*cap bound
 SUPPORT_GUARD = 2**21  # largest sampled perturbation support, in patterns
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class RangeOnePerturbation:
+class RangeOnePerturbation(_Frozen):
     """n distinct 3x3 patterns, an (n, 9) int64 array in PATCH_OFFSETS
     order, and their n float coefficients, each at most cap in absolute
     value; both arrays read-only. Built from a dict mapping 9-tuples of
-    nonnegative integers (bools count) to coefficients."""
+    nonnegative integers (bools count) to coefficients; compared and
+    hashed by identity, as arrays do not compare to one truth value."""
 
     patterns: np.ndarray
     values: np.ndarray
     cap: float
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, coeffs: dict[tuple[int, ...], float], cap: float) -> None:
         patterns = np.array(list(coeffs) or np.empty((0, 9), np.int64))
@@ -99,8 +99,7 @@ class RangeOnePerturbation:
         if not (np.abs(values) <= cap).all():  # refuses NaN too
             raise ValueError(f"coefficient {values[~(np.abs(values) <= cap)][0]} exceeds cap {cap}")
         patterns.flags.writeable = values.flags.writeable = False
-        for name, value in (("patterns", patterns), ("values", values), ("cap", cap)):
-            object.__setattr__(self, name, value)
+        _Frozen.__init__(self, patterns, values, cap)
 
     @property
     def support_size(self) -> int:
@@ -134,19 +133,17 @@ def lipschitz_seminorm_exact(h: RangeOnePerturbation, q: int) -> float:
     return float(max(0.0, 2.0 * (hi - lo).max(), hi.max() - lo.min()))
 
 
-@dataclass
-class PerturbedPotential:
-    """Penalty potential plus a range-1 perturbation, with gap, the
-    certified upper bound on the Lipschitz norm of the difference,
+class PerturbedPotential(_Frozen):
+    """Penalty potential plus a range-1 perturbation, with gap (not a field),
+    the certified upper bound on the Lipschitz norm of the difference,
     computed once at construction, which refuses symbols of q or more."""
 
     sft: NnSft
     h: RangeOnePerturbation
-    gap: float = field(init=False)
 
     def __post_init__(self) -> None:
         _check_alphabet(self.h, self.sft.q)
-        self.gap = certify_norm_gap(self.h, self.sft.q)
+        object.__setattr__(self, "gap", certify_norm_gap(self.h, self.sft.q))
 
     @classmethod
     def build(cls, sft: NnSft, h: RangeOnePerturbation) -> "PerturbedPotential":
@@ -328,8 +325,7 @@ def sample_perturbation(
     return RangeOnePerturbation._from_arrays(patterns, values, cap)
 
 
-@dataclass(frozen=True)
-class LevelSetCheckResult:
+class LevelSetCheckResult(_Frozen):
     ok: bool
     checked: int
     skipped: int  # pairs agreeing on the whole domain: no exact distance

@@ -21,13 +21,12 @@ segment (fill_segment).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .lattice import Rect, Site, SparsePatch, Window
-from .sft import NnSft, _check_symbols, bad_site_mask
+from .sft import NnSft, _check_symbols, _Frozen, bad_site_mask
 
 SIDES = ("top", "bottom", "right", "left")
 
@@ -40,14 +39,14 @@ def _require_ssf(sft: NnSft) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Run:
+class Run(_Frozen):
     """A maximal contiguous segment of bad sites on one side of a shell.
 
     Sites are [alpha, beta] x {i} (top), [alpha, beta] x {-i} (bottom),
     {i} x [alpha, beta] (right) or {-i} x [alpha, beta] (left).
     """
 
+    __slots__ = ("side", "i", "alpha", "beta")
     side: str
     i: int
     alpha: int
@@ -78,8 +77,7 @@ class Run:
         return [(-self.i, y) for y in span]
 
 
-@dataclass(frozen=True)
-class ShellDecomposition:
+class ShellDecomposition(_Frozen):
     """Bad sites of one shell, split into per-side maximal runs.
 
     Top/bottom runs are indexed left to right, right/left runs bottom
@@ -87,7 +85,7 @@ class ShellDecomposition:
     """
 
     i: int
-    runs: dict[str, tuple[Run, ...]] = field(default_factory=dict)
+    runs: dict[str, tuple[Run, ...]]
 
     def iter_runs(self):
         for side in SIDES:
@@ -200,20 +198,22 @@ def fill_segment(
     return {s: buf[k] for s, k in zip(sites, flat)}
 
 
-@dataclass
-class RepairResult:
+class RepairResult(_Frozen):
     """Outcome of a full repair pass: the repaired window and, for each
     shell i, the number of the input's bad sites on it, all rewritten
-    while shell i was repaired. sweep holds the shell, side and
-    coordinate along the side of each rewritten site, in sweep order;
+    while shell i was repaired. sweep, not a field, holds the shell, side
+    and coordinate along the side of each rewritten site, in sweep order;
     shells cuts each shell's runs from it on first use (for tests and
     the benchmark's tracer). Repair with n = i, from the same rng state,
     gives the window after shell i: where(Chebyshev norm <= i, window, input)."""
 
     window: Window
     shell_sizes: list[int]
-    sweep: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
     intermediates = ()  # always empty; the benchmark's tracer still reads it
+
+    def __init__(self, window: Window, shell_sizes: list[int], sweep: tuple[np.ndarray, ...]) -> None:
+        super().__init__(window, shell_sizes)
+        object.__setattr__(self, "sweep", sweep)
 
     @property
     def total_bad(self) -> int:
@@ -222,7 +222,7 @@ class RepairResult:
     @cached_property
     def shells(self) -> list[ShellDecomposition]:
         if not self.sweep[0].size:  # a clean input: every shell is empty
-            return [ShellDecomposition(i) for i in range(len(self.shell_sizes))]
+            return [ShellDecomposition(i, {}) for i in range(len(self.shell_sizes))]
         return _decompose(len(self.shell_sizes) - 1, *self.sweep)
 
 

@@ -22,10 +22,8 @@ A safe symbol is a center that works for every boundary, i.e. a symbol
 in no forbidden pair.
 
 Only the functions that build arrays import numpy, so deciding SSF
-(the `check` command) loads none. NnSft, SsfResult and BadSites are
-written out by hand as frozen value classes, compared, hashed and shown
-as frozen dataclasses are, so `check` loads no `dataclasses` either, nor
-the `inspect`, `ast` and `tokenize` that it imports.
+(the `check` command) loads none. _Frozen, the package's one base for
+value classes, is defined here, so no module loads `dataclasses`.
 """
 
 from __future__ import annotations
@@ -54,13 +52,43 @@ NORTH, SOUTH, EAST, WEST = range(4)
 
 
 class _Frozen:
-    """A value whose fields, named in `_fields`, are set once in __init__
-    (with object.__setattr__) and compared, hashed and shown in that
-    order, as a frozen dataclass's are; assigning or deleting an
-    attribute raises AttributeError."""
+    """The package's one value-class base. Fields are the names the class
+    bodies annotate, the bases' first, less those starting with "_". The
+    one __init__ binds them from arguments and class defaults (none under
+    __slots__) as a dataclass's does, then runs __post_init__. Fields are
+    compared, hashed and shown in order; setting or deleting raises AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        own = cls.__dict__
+        names = [f for f in cls.__annotations__ if not f.startswith("_")]  # the class's own
+        cls._fields = tuple(dict.fromkeys(cls._fields + tuple(names)))
+        defaults = {f: own[f] for f in names if f in own and f not in own.get("__slots__", ())}
+        cls._defaults = {**cls._defaults, **defaults}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bind as a dataclass's __init__ does
+            try:
+                args += tuple(kwargs.pop(f) if f in kwargs else self._defaults[f] for f in fields[len(args):])
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__qualname__} missing argument {missing}") from None
+            if kwargs or len(args) > len(fields):  # a keyword left names no field, or one given by position
+                extra = [*map(repr, kwargs)] or [f"{len(args) - len(fields)} positional"]
+                raise TypeError(f"{type(self).__qualname__} got extra or repeated arguments: {', '.join(extra)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validate the fields, or set derived values with object.__setattr__."""
+
+    def __setstate__(self, state) -> None:  # pickle's and copy's, in place of __setattr__
+        for name, value in (state[1] if isinstance(state, tuple) else state).items():  # (None, slots)
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -77,29 +105,27 @@ class _Frozen:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable: cannot set or delete {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__
 
 
 class NnSft(_Frozen):
     """A nearest-neighbor SFT over symbols 0..q-1."""
 
-    _fields = ("q", "hforbid", "vforbid")
     q: int
-    hforbid: frozenset[Pair]
-    vforbid: frozenset[Pair]
+    hforbid: frozenset[Pair] = frozenset()
+    vforbid: frozenset[Pair] = frozenset()
 
-    def __init__(self, q: int, hforbid=frozenset(), vforbid=frozenset()) -> None:
-        if q < 1:
+    def __post_init__(self) -> None:
+        if self.q < 1:
             raise ValueError("alphabet size must be >= 1")
-        object.__setattr__(self, "q", q)
-        for name, pairs in (("hforbid", frozenset(hforbid)), ("vforbid", frozenset(vforbid))):
+        for name in ("hforbid", "vforbid"):
+            pairs = frozenset(getattr(self, name))
             for a, b in pairs:
-                if not (0 <= a < q and 0 <= b < q):
-                    raise ValueError(f"{name} pair ({a}, {b}) outside alphabet 0..{q - 1}")
+                if not (0 <= a < self.q and 0 <= b < self.q):
+                    raise ValueError(f"{name} pair ({a}, {b}) outside alphabet 0..{self.q - 1}")
             object.__setattr__(self, name, pairs)
 
     @cached_property
@@ -185,22 +211,13 @@ def _pair_table(q: int, pairs: frozenset[Pair]) -> np.ndarray:
 
 
 class SsfResult(_Frozen):
-    _fields = ("ok", "witness")
     ok: bool
     # a blocking boundary (north, south, east, west) when ok is False
     witness: tuple[int, int, int, int] | None
 
-    def __init__(self, ok: bool, witness: tuple[int, int, int, int] | None) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
-
 
 class BadSites(_Frozen):
-    _fields = ("sites",)
     sites: frozenset[Site]
-
-    def __init__(self, sites: frozenset[Site]) -> None:
-        object.__setattr__(self, "sites", sites)
 
 
 class SymbolRangeError(ValueError):

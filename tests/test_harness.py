@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -503,8 +502,8 @@ def test_run_trial_matches_reference_assembly(k, n, support, rule, rate, seed):
         sft=TRIAL_SFTS[k], n=n, support_size=support, rule=rule, corrupt_rate=rate, seed=seed
     )
     got, want = run_trial(cfg, 1), reference_run_trial(cfg, 1)
-    for f in dataclasses.fields(TrialReport):
-        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+    for f in TrialReport._fields:
+        assert repr(getattr(got, f)) == repr(getattr(want, f)), f
     assert got.csv_lines() == want.csv_lines()
 
 
@@ -621,8 +620,8 @@ def test_chunked_experiment_matches_trials_run_alone(monkeypatch, per_chunk, rul
             want = [run_trial(cfg, i) for i in range(trials)]
             assert len(got) == trials
             for a, b in zip(got, want):
-                for f in dataclasses.fields(TrialReport):
-                    assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+                for f in TrialReport._fields:
+                    assert repr(getattr(a, f)) == repr(getattr(b, f)), f
                 assert a.csv_lines() == b.csv_lines()
 
 
