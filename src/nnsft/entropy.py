@@ -69,6 +69,7 @@ class StripTransfer(_Frozen):
     Every table entry is below q**max(m, 2) <= STATE_ENUM_GUARD < 2**31,
     so the tables are int32; `build` forms them in int32 as it goes and
     frees each temporary once used (only `searchsorted` gives intp).
+    Compared and hashed by identity: arrays give no one truth value.
     """
 
     sft: NnSft
@@ -76,6 +77,7 @@ class StripTransfer(_Frozen):
     codes: np.ndarray
     steps: tuple[tuple[np.ndarray, np.ndarray], ...]
     h_ok: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @property
     def state_count(self) -> int:

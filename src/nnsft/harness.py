@@ -24,17 +24,18 @@ certified norm gap of g (never the looser nominal value):
   the window-averaged improvement is at least
   (1 - 32*gap)*bad_fraction - (112*gap*(N+1) + 2*(8N+8)) / (2N+1)**2.
 
-A trial evaluates g once per window state. check_average_bounds does
-so on the admissible window, before repair, which frees that window;
-check_shell_gaps does so on the corrupted window, two mixed states and
-the repaired window over the box of radius N, the region. Its report
-also carries the corrupted window's bad count on each shell, the
-repaired window's bad count, the windowed sum of both, and the number
-of sites repair changed other than the corrupted window's bad sites in
-the region. run_trial checks those shell counts against repair's own,
-and builds from them the corrupted window's average bound, through the
-same helper as check_average_bounds, the total bound, and its locality
-and cleanliness checks, so it builds no bad-site mask of its own.
+A trial evaluates g once per window state. check_average_bounds does so
+on the admissible window, before repair, which frees that window;
+check_shell_gaps over the box of radius N, the region, on four states:
+at a site of norm k, its patch repaired at norms <= k + shift, shift =
+-2..1, from the corrupted window to the repaired one. Its report also
+carries the corrupted window's bad count on each shell, the repaired
+window's bad count, the windowed sum of both, and the number of sites
+repair changed other than the corrupted window's bad sites in the
+region. run_trial checks those shell counts against repair's own, and
+builds from them the corrupted window's average bound, through the same
+helper as check_average_bounds, the total bound, and its locality and
+cleanliness checks, so it builds no bad-site mask of its own.
 
 Both checks evaluate g over row bands, Rect.bands(BAND_SITES), so
 their working set is a band's temporaries plus what must span the
@@ -62,7 +63,7 @@ number of trials.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -348,8 +349,8 @@ class ShellGapReport(_Frozen):
     of their own, so the bound over the full |S_i| is not guaranteed;
     its margin is carried alongside for reporting.
 
-    The first and last passes also give the box's windowed sum in the
-    input and the output and its bad sites in the output, for the other
+    The evaluations of the input and the output also give the box's
+    windowed sum in each and its bad sites in the output, for the other
     checks (the input's are the rows' sizes), and stray_changes counts
     the sites where the output differs from the input other than the
     box's bad input sites (repair's locality).
@@ -380,28 +381,28 @@ def check_shell_gaps(
     must contain the box of radius n+1 and hold symbols below q only.
     Repair writes each site of shell i once, while it repairs shell i,
     so the window before shell i is the output at Chebyshev norms < i
-    and the input elsewhere. At a site
-    of norm k, whose 3x3 patch spans norms k-1..k+1, g thus takes four
-    values: on the input (C), with the patch repaired at norms < k (A)
-    and at norms <= k (B), and on the output (R). Shell k-1 gains A - C
-    there, shell k B - A and shell k+1 R - B, and no other shell moves
-    it. So four passes of the evaluator over the box give every term. A
-    shell's observed gain sums its nonzero terms with builtin sum, site
-    by site in sorted (x, y) order, the order of a site-by-site replay;
-    |S_i| counts the sites of shell i that are bad in the input, and
-    pending_i those that are bad in state A too.
+    and the input elsewhere. At a site of norm k, whose 3x3 patch spans
+    norms k-1..k+1, g thus takes four values, one for each shift = -2,
+    -1, 0, 1: on the patch repaired at norms <= k + shift. That is the
+    input (C) at -2, a mix A at -1 and a mix B at 0, and the output (R)
+    at 1; shell k + shift gains the value at shift less the value at
+    shift - 1 there, and no other shell moves it. So four evaluations
+    over the box give every term. A shell's observed gain sums its
+    nonzero terms with builtin sum, site by site in sorted (x, y) order,
+    the order of a site-by-site replay; |S_i| counts the shell's sites
+    bad in the input, and pending_i those also bad in A.
 
-    The four passes run band by band over the box's rows (_four_states),
-    so the Chebyshev norms, the mixed states, the pattern codes and the
-    terms' masks exist for one band of at most BAND_SITES sites at a
-    time. Only what a band cannot finish spans the box: the terms kept,
-    with their keys (global rows), which one sort puts in replay order;
-    the bad counts, |S_i| and pending_i, summed over bands; and h in C
-    and in R, written into one contiguous array over the box each, which
-    numpy sums in birkhoff_sum's grouping, so the report carries the
-    box's windowed sum (as birkhoff_sum gives it) in C and R. With C's
-    bad sites it counts the changed sites that are not among them, the
-    changed mask too built band by band.
+    The loop runs over the box's row bands. A band's patches of the
+    norms, the input and the output are cut once, and a mixed state is
+    built for its own evaluation alone, so the norms, the mixed states,
+    the pattern codes and the terms' masks exist for one band of at
+    most BAND_SITES sites at a time. Only what a band cannot finish
+    spans the box: the terms kept, with their keys (global rows), which
+    one sort puts in replay order; the bad counts, |S_i| and pending_i,
+    summed over bands; and h in C and in R, written into one contiguous
+    array over the box each, so that the box's windowed sums in C and R
+    are birkhoff_sum's to the bit. The changed sites that are not bad
+    in C are counted from the band's centre patches.
     """
     if n < 0:
         raise ValueError("box radius must be >= 0")
@@ -420,21 +421,32 @@ def check_shell_gaps(
     pending = np.zeros(n + 1, dtype=np.int64)
     allowed = 0  # changed sites that are bad in C
     keys, terms = [], []
-    for band, norm, states in _four_states(g, corrupted, repaired, region):
+    # the windows hold one byte a symbol (q <= 64 under SSF), and so do the mixed states
+    for band in region.bands(BAND_SITES):
         cut = region.cut(band)
         top = cut[0].start  # the band's first row in the box
+        around = band.inflate(1)
+        dist = region_patches(around.norms(), around, band)
+        before = region_patches(corrupted.array[rect.cut(around)], around, band)
+        after = region_patches(repaired.array[rect.cut(around)], around, band)
+        norm = dist[PATCH_CENTER]
         previous = None
-        for shift, (bad, h) in enumerate(states, -2):
-            value = h - bad
-            if shift == -2:  # the input's bad sites, by shell
+        for shift in range(-2, 2):  # at norm k, the patch repaired at norms <= k + shift
+            if shift == -2:  # C, the input
+                bad, h = g.patch_parts(before)
                 bad_in = bad
                 sizes += np.bincount(norm[bad], minlength=n + 1)
                 ends_h[0][cut] = h
-            elif shift == -1:  # at a site of norm k, A is the window before shell k's repair
-                pending += np.bincount(norm[bad_in & bad], minlength=n + 1)
-            elif shift == 1:
+            elif shift == 1:  # R, the output
+                bad, h = g.patch_parts(after)
                 output_bad += int(np.count_nonzero(bad))
                 ends_h[1][cut] = h
+            else:  # A, then B: d < k, then d <= k (a k + shift array raised peak RSS)
+                below = np.less if shift == -1 else np.less_equal
+                bad, h = g.patch_parts([np.where(below(d, norm), r, c) for d, r, c in zip(dist, after, before)])
+                if shift == -1:  # A is the window before shell k's repair
+                    pending += np.bincount(norm[bad_in & bad], minlength=n + 1)
+            value = h - bad
             if previous is not None:  # shell k + shift gains value - previous at norm k
                 term = value - previous
                 keep = (term != 0) & (norm >= -shift) & (norm <= n - shift)
@@ -443,8 +455,7 @@ def check_shell_gaps(
                 keys.append((norm[keep] + shift) * region.area + col * side + (side - 1 - top - row))
                 terms.append(term[keep])
             previous = value
-        window_cut = rect.cut(band)
-        changed = corrupted.array[window_cut] != repaired.array[window_cut]
+        changed = before[PATCH_CENTER] != after[PATCH_CENTER]
         allowed += int(np.count_nonzero(changed & bad_in))
     key = np.concatenate(keys)
     order = np.argsort(key)
@@ -469,39 +480,6 @@ def check_shell_gaps(
         output_sum=g.sum_parts(output_bad, ends_h[1]),
         stray_changes=_count_changed(corrupted, repaired) - allowed,
     )
-
-
-def _four_states(
-    g: PerturbedPotential, corrupted: Window, repaired: Window, region: Rect
-) -> Iterator[tuple[Rect, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]]:
-    """check_shell_gaps' four window states, band by band: for each row
-    band of the region, top band first, the band, the
-    Chebyshev norm of each of its sites, and an iterator over
-    patch_parts' (bad, h) there in C, A, B and R, in that order. The
-    norms, the symbols and the mixed states are built for the band
-    alone; the region inflated by one must fit in the windows' domain."""
-    rect = corrupted.rect
-    # the windows hold one byte a symbol (q <= 64 under SSF), and so do the mixed states
-    for band in region.bands(BAND_SITES):
-        around = band.inflate(1)
-        dist = region_patches(around.norms(), around, band)
-        cut = rect.cut(around)
-        before = region_patches(corrupted.array[cut], around, band)
-        after = region_patches(repaired.array[cut], around, band)
-        yield band, dist[PATCH_CENTER], _band_states(g, dist, before, after)
-
-
-def _band_states(
-    g: PerturbedPotential, dist: list[np.ndarray], before: list[np.ndarray], after: list[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """patch_parts' (bad, h) in C, A, B and R at the sites of one band,
-    given the nine patch arrays of the Chebyshev norms, the input and
-    the output; each mixed state is built when its turn comes."""
-    norm = dist[PATCH_CENTER]
-    yield g.patch_parts(before)
-    yield g.patch_parts([np.where(d < norm, r, c) for d, r, c in zip(dist, after, before)])
-    yield g.patch_parts([np.where(d <= norm, r, c) for d, r, c in zip(dist, after, before)])
-    yield g.patch_parts(after)
 
 
 def _count_changed(a: Window, b: Window) -> int:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -349,12 +350,16 @@ def test_shell_gaps_replay_matches_reference(seed, n, rate, support, rule):
     n=st.integers(0, 8),
     edit_rate=st.floats(0.0, 1.0),
     support=st.integers(0, 60),
+    data=st.data(),
 )
-def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, support):
+def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, support, data):
     # any output against any input, on any SFT: the window after shell i
     # is where(norm <= i, output, input), and nothing is assumed of
     # repair (edits land anywhere, off the box of radius n too, and need
-    # not remove a bad site)
+    # not remove a bad site). The box is cut into bands of 1 to 2n + 1
+    # rows, so each band's row offset in the replay keys is compared too
+    # (monkeypatch would not reset between examples)
+    rows = data.draw(st.integers(1, 2 * n + 1), label="rows per band")
     rng = np.random.default_rng(seed)
     sft = random_sft(rng)
     q = sft.q
@@ -365,7 +370,8 @@ def test_shell_gaps_match_reference_on_arbitrary_pairs(seed, n, edit_rate, suppo
     region = Rect.centered(n)
     g = PerturbedPotential.build(sft, sample_perturbation(0.01, min(support, q**9), q, rng))
     shells = [reference_decompose(w, sft, i) for i in range(n + 1)]
-    rep = check_shell_gaps(g, w, out, n)
+    with mock.patch.object(harness, "BAND_SITES", rows * region.width):
+        rep = check_shell_gaps(g, w, out, n)
     ys = rect.y1 - np.arange(rect.height)
     xs = rect.x0 + np.arange(rect.width)
     norm = np.maximum.outer(np.abs(ys), np.abs(xs))
@@ -508,8 +514,9 @@ def test_run_trial_matches_reference_assembly(k, n, support, rule, rate, seed):
 
 
 def test_run_trial_evaluates_each_window_state_once(monkeypatch):
-    # base, input, two mixed states and output: five passes of the
-    # evaluator, each one band at these N; the one bad-site mask is repair's
+    # base, input, two mixed states and output: five evaluations in each
+    # row band, one band at N = 6 and 20 and five at 128; the one
+    # bad-site mask is repair's
     calls = []
     evaluate = PerturbedPotential.patch_parts
 
@@ -524,10 +531,11 @@ def test_run_trial_evaluates_each_window_state_once(monkeypatch):
             return bad_site_mask(w, sft)
 
         monkeypatch.setattr(module, "bad_site_mask", counted_mask)
-    for sft, n in ((HS, 6), (checkerboard(5), 20)):
+    for sft, n, bands in ((HS, 6, 1), (checkerboard(5), 20, 1), (checkerboard(5), 128, 5)):
+        assert len(list(Rect.centered(n).bands(harness.BAND_SITES))) == bands
         calls.clear()
         run_trial(TrialConfig(sft=sft, n=n, seed=2), 0)
-        assert sorted(calls) == ["bad_site_mask from nnsft.repair"] + ["patch_parts"] * 5
+        assert sorted(calls) == ["bad_site_mask from nnsft.repair"] + ["patch_parts"] * (5 * bands)
 
 
 def test_run_trial_locality_failures(monkeypatch):

@@ -79,6 +79,8 @@ def _cases():
 
 
 CASES = _cases()
+# compared and hashed by identity: their arrays give no one truth value
+IDENTITY = (RangeOnePerturbation, StripTransfer)
 
 
 def _keywords(cls, args) -> dict:
@@ -112,11 +114,9 @@ def test_value_class_contract(cls):
     assert cls._fields == fields
     a, b = cls(*args), cls(**kwargs)
     assert repr(a) == repr(b)
-    if cls is not RangeOnePerturbation:  # compared by identity
+    if cls not in IDENTITY:
         assert a == b and not a != b
-    # every field takes part; StripTransfer's arrays make == ambiguous on
-    # two transfers, as they did on the dataclass it was
-    for name in fields if cls is not StripTransfer else ("sft", "m"):
+    for name in fields:  # every field takes part
         other = copy.copy(a)
         object.__setattr__(other, name, object())
         assert other != a
@@ -126,7 +126,7 @@ def test_value_class_contract(cls):
         with pytest.raises(TypeError):
             hash(b)
     else:
-        assert hash(a) == hash(b) or cls is RangeOnePerturbation
+        assert hash(a) == hash(b) or cls in IDENTITY
 
     # class defaults apply, and none is shared and mutable
     required = {k: v for k, v in kwargs.items() if k not in cls._defaults}
@@ -173,6 +173,10 @@ def test_slotted_and_identity_values():
         assert twin == window and not twin.array.flags.writeable
     h, twin = (RangeOnePerturbation({(0,) * 9: 0.001}, 0.002) for _ in range(2))
     assert h == h and h != twin and len({h, twin, h}) == 2
+    # two transfers built apart: unequal, without an ambiguous array truth value
+    t, twin = (StripTransfer.build(HS, 4) for _ in range(2))
+    assert t == t and not t != t and t != twin and not t == twin
+    assert len({t, twin, t}) == 2 and hash(t) == hash(t)
     assert "runs" not in ShellDecomposition._defaults
     with pytest.raises(TypeError):
         ShellDecomposition(0)
